@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -24,7 +23,7 @@ from .grouping import (
     collection_difference,
     enumerate_pairs,
 )
-from .lexicon import Lemmatizer
+from .lexicon import MODES, Lemmatizer
 from .mining import IdentifierKind, RenameRecord
 
 _EMPTY_FACTS = CodeFacts()
@@ -94,46 +93,50 @@ def size_distribution(coll: RenameSetCollection) -> list[SizeRow]:
     return rows
 
 
-def _detect_for_set(
-    rename_set: MeaningfulRenameSet, facts
-) -> Counter[RelationshipKind]:
-    snapshot = _facts_for(facts, rename_set.commit)
-    counts: Counter[RelationshipKind] = Counter()
-    for left, right in enumerate_pairs(rename_set):
-        for kind in detect_relationships(snapshot, left.old_name, right.old_name):
-            counts[kind] += 1
-    return counts
+class _Detections:
+    """Relationship counts per rename set within one analysis.
 
-
-def relationship_rates(
-    coll: RenameSetCollection,
-    facts,
-    kind_filter: IdentifierKind | None = None,
-    workers: int = 1,
-) -> dict[RelationshipKind, float]:
-    """Share of each relationship kind among all detections.
-
-    Considers sets with at least two members; with ``kind_filter``, only
-    sets containing at least one rename of that identifier kind.  Facts
-    come from each set's commit snapshot (see _facts_for).  Raises
-    NoDataError when nothing is detected.
+    Each distinct (snapshot, unordered name pair) is detected once, however
+    many sets or rates ask for it.  ``pairs`` counts the pairs evaluated.
     """
-    qualifying = [
-        s
-        for s in coll.sets
-        if len(s) >= 2
-        and (kind_filter is None or any(m.kind == kind_filter for m in s.members))
-    ]
+
+    def __init__(self, facts):
+        self.facts = facts
+        self.found: dict[tuple[int, str, str], set[RelationshipKind]] = {}
+        self.pairs = 0
+
+    def count(self, rename_set: MeaningfulRenameSet) -> Counter[RelationshipKind]:
+        snapshot = _facts_for(self.facts, rename_set.commit)
+        counts: Counter[RelationshipKind] = Counter()
+        for left, right in enumerate_pairs(rename_set):
+            a, b = sorted((left.old_name, right.old_name))
+            key = (id(snapshot), a, b)
+            kinds = self.found.get(key)
+            if kinds is None:
+                kinds = self.found[key] = detect_relationships(snapshot, a, b)
+            counts.update(kinds)
+            self.pairs += 1
+        return counts
+
+    def count_sets(
+        self, sets: Iterable[MeaningfulRenameSet]
+    ) -> list[tuple[MeaningfulRenameSet, Counter[RelationshipKind]]]:
+        """(set, counts) for every set with at least two members."""
+        return [(s, self.count(s)) for s in sets if len(s) >= 2]
+
+
+def _has_kind(rename_set: MeaningfulRenameSet, kind: IdentifierKind | None) -> bool:
+    return kind is None or any(m.kind == kind for m in rename_set.members)
+
+
+def _pooled_rates(
+    counted: list, kind_filter: IdentifierKind | None = None
+) -> dict[RelationshipKind, float]:
+    """Rates over the summed counts of the counted sets that pass the filter."""
     counts: Counter[RelationshipKind] = Counter()
-    if workers > 1 and len(qualifying) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(
-                lambda s: _detect_for_set(s, facts), qualifying
-            ):
-                counts.update(partial)
-    else:
-        for s in qualifying:
-            counts.update(_detect_for_set(s, facts))
+    for rename_set, set_counts in counted:
+        if _has_kind(rename_set, kind_filter):
+            counts.update(set_counts)
     total = sum(counts.values())
     if total == 0:
         raise NoDataError(
@@ -143,20 +146,42 @@ def relationship_rates(
     return {kind: counts[kind] / total for kind in sorted(counts, key=lambda k: k.value)}
 
 
-def chunk_type_rates(
-    records: Iterable[RenameRecord],
-    mode: str,
-    lemmatizer: Lemmatizer | None = None,
-) -> dict[ChunkKind, float]:
-    """Share of each chunk kind over all chunk occurrences in the mode."""
+def relationship_rates(
+    coll: RenameSetCollection,
+    facts,
+    kind_filter: IdentifierKind | None = None,
+) -> dict[RelationshipKind, float]:
+    """Share of each relationship kind among all detections.
+
+    Considers sets with at least two members; with ``kind_filter``, only
+    sets containing at least one rename of that identifier kind.  Facts
+    come from each set's commit snapshot (see _facts_for).  Raises
+    NoDataError when nothing is detected.
+    """
+    counted = _Detections(facts).count_sets(
+        s for s in coll.sets if _has_kind(s, kind_filter)
+    )
+    return _pooled_rates(counted, kind_filter)
+
+
+def _chunk_rates(chunked: list[RenameRecord]) -> dict[ChunkKind, float]:
     counts: Counter[ChunkKind] = Counter()
-    for record in attach_chunks(list(records), mode, lemmatizer):
+    for record in chunked:
         for chunk in record.chunks:
             counts[chunk.kind] += 1
     total = sum(counts.values())
     if total == 0:
         raise NoDataError("no operational chunks")
     return {kind: counts[kind] / total for kind in sorted(counts, key=lambda k: k.value)}
+
+
+def chunk_type_rates(
+    records: Iterable[RenameRecord],
+    mode: str,
+    lemmatizer: Lemmatizer | None = None,
+) -> dict[ChunkKind, float]:
+    """Share of each chunk kind over all chunk occurrences in the mode."""
+    return _chunk_rates(attach_chunks(list(records), mode, lemmatizer))
 
 
 @dataclass(frozen=True)
@@ -173,42 +198,23 @@ class InflectionImpact:
     new_set_relationship_rates: dict[RelationshipKind, float] | None
 
 
-def inflection_impact(
-    records: list[RenameRecord],
-    facts=None,
-    lemmatizer: Lemmatizer | None = None,
-    workers: int = 1,
-) -> InflectionImpact:
-    """Run both modes end to end and compare their rename sets.
+def _or_none(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except NoDataError:
+        return None
 
-    Relationship rates are computed only inside the newly created sets,
-    i.e. lemma-mode sets whose membership matches no raw-mode set.
-    """
-    raw_coll = build_rename_sets(attach_chunks(records, "raw", lemmatizer), "raw")
-    lemma_coll = build_rename_sets(
-        attach_chunks(records, "lemma", lemmatizer), "lemma"
-    )
+
+def _inflection(chunked: dict[str, list[RenameRecord]], detections) -> InflectionImpact:
+    raw_coll = build_rename_sets(chunked["raw"], "raw")
+    lemma_coll = build_rename_sets(chunked["lemma"], "lemma")
     new_sets = collection_difference(lemma_coll, raw_coll)
-
-    def rate_or_none(coll):
-        try:
-            return co_rename_rate(coll)
-        except NoDataError:
-            return None
-
     new_rates = None
-    if facts is not None and new_sets:
-        try:
-            new_rates = relationship_rates(
-                RenameSetCollection(sets=tuple(new_sets), mode="lemma"),
-                facts,
-                workers=workers,
-            )
-        except NoDataError:
-            new_rates = None
+    if detections.facts is not None and new_sets:
+        new_rates = _or_none(_pooled_rates, detections.count_sets(new_sets))
     return InflectionImpact(
-        raw_co_rename_rate=rate_or_none(raw_coll),
-        lemma_co_rename_rate=rate_or_none(lemma_coll),
+        raw_co_rename_rate=_or_none(co_rename_rate, raw_coll),
+        lemma_co_rename_rate=_or_none(co_rename_rate, lemma_coll),
         raw_set_count=len(raw_coll),
         lemma_set_count=len(lemma_coll),
         raw_member_total=raw_coll.member_total(),
@@ -216,6 +222,28 @@ def inflection_impact(
         new_set_count=len(new_sets),
         new_set_relationship_rates=new_rates,
     )
+
+
+def inflection_impact(
+    records: list[RenameRecord],
+    facts=None,
+    lemmatizer: Lemmatizer | None = None,
+) -> InflectionImpact:
+    """Run both modes end to end and compare their rename sets.
+
+    Relationship rates are computed only inside the newly created sets,
+    i.e. lemma-mode sets whose membership matches no raw-mode set.
+    """
+    chunked = {mode: attach_chunks(records, mode, lemmatizer) for mode in MODES}
+    return _inflection(chunked, _Detections(facts))
+
+
+@dataclass(frozen=True)
+class WorkCounts:
+    """How much relationship work one analysis did (not in the report)."""
+
+    pairs: int
+    detections: int
 
 
 @dataclass(frozen=True)
@@ -236,6 +264,7 @@ class RepoStats:
     filtered_rates: dict[IdentifierKind, dict[RelationshipKind, float] | None]
     chunk_type_rates: dict[str, dict[ChunkKind, float] | None]
     inflection: InflectionImpact | None
+    work: WorkCounts | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         def rates(mapping):
@@ -330,39 +359,31 @@ def build_repo_stats(
     facts=None,
     filters: Iterable[IdentifierKind] = tuple(IdentifierKind),
     lemmatizer: Lemmatizer | None = None,
-    workers: int = 1,
 ) -> RepoStats:
-    """Assemble the full report for one record stream and its collection."""
+    """Assemble the full report for one record stream and its collection.
 
-    def or_none(fn, *args, **kw):
-        try:
-            return fn(*args, **kw)
-        except NoDataError:
-            return None
-
-    rate = or_none(co_rename_rate, coll)
-    sizes = tuple(or_none(size_distribution, coll) or ())
-    overall = or_none(relationship_rates, coll, facts, workers=workers)
-    filtered = {
-        kind: or_none(relationship_rates, coll, facts, kind, workers=workers)
-        for kind in filters
-    }
-    chunk_rates = {
-        mode: or_none(chunk_type_rates, records, mode, lemmatizer)
-        for mode in ("raw", "lemma")
-    }
-    impact = inflection_impact(records, facts, lemmatizer, workers=workers)
+    Every rate is summed from per-set counts, each (snapshot, pair) is
+    detected once, and the records are chunked once per mode.
+    """
+    detections = _Detections(facts)
+    counted = detections.count_sets(coll.sets)
+    chunked = {mode: attach_chunks(records, mode, lemmatizer) for mode in MODES}
     return RepoStats(
         mode=coll.mode,
         record_count=len(records),
         set_count=len(coll),
         member_total=coll.member_total(),
-        co_rename_rate=rate,
-        size_distribution=sizes,
-        relationship_rates=overall,
-        filtered_rates=filtered,
-        chunk_type_rates=chunk_rates,
-        inflection=impact,
+        co_rename_rate=_or_none(co_rename_rate, coll),
+        size_distribution=tuple(_or_none(size_distribution, coll) or ()),
+        relationship_rates=_or_none(_pooled_rates, counted),
+        filtered_rates={
+            kind: _or_none(_pooled_rates, counted, kind) for kind in filters
+        },
+        chunk_type_rates={
+            mode: _or_none(_chunk_rates, chunked[mode]) for mode in MODES
+        },
+        inflection=_inflection(chunked, detections),
+        work=WorkCounts(pairs=detections.pairs, detections=len(detections.found)),
     )
 
 

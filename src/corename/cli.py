@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analytics import build_repo_stats, emit_report, load_report
-from .errors import CorenameError
+from .errors import CorenameError, ParseError
 from .facts import extract_facts, extract_facts_from_dir
 from .facts.model import CodeFacts
 from .fileio import atomic_write
@@ -27,7 +25,7 @@ from .grouping import (
     load_rename_sets,
     serialize_rename_sets,
 )
-from .lexicon import Lemmatizer
+from .lexicon import MODES, Lemmatizer
 from .mining import (
     IdentifierKind,
     RenameRecord,
@@ -39,41 +37,15 @@ from .mining import (
 from .recommend import PriorProfile, default_profile, recommend
 
 
-@dataclass
-class PipelineConfig:
-    """Shared settings resolved from flags, config file, and environment."""
-
-    repo: str | None = None
-    records: str | None = None
-    mode: str = "lemma"
-    filters: tuple[IdentifierKind, ...] = tuple(IdentifierKind)
-    out: str | None = None
-    lemma_table: str | None = None
-    plots: bool = False
-    profile: str | None = None
-    workers: int = 1
-
-    def validate_source(self) -> None:
-        if bool(self.repo) == bool(self.records):
-            raise CorenameError("exactly one of --repo or --records is required")
-
-    def validate_mode(self) -> None:
-        if self.mode not in ("raw", "lemma"):
-            raise CorenameError(f"unknown mode: {self.mode!r}")
-
-
 def _lemmatizer(args) -> Lemmatizer | None:
     table = getattr(args, "lemma_table", None)
     return Lemmatizer.from_file(table) if table else None
 
 
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("CORENAME_WORKERS")
-    if env and env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
+def _mode(args) -> str:
+    if args.mode not in MODES:
+        raise CorenameError(f"unknown mode: {args.mode!r}")
+    return args.mode
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -81,7 +53,12 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as fh:
-        overrides = json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"invalid JSON: {exc.msg}", line=exc.lineno, source=args.config
+            ) from None
     if not isinstance(overrides, dict):
         raise CorenameError("config file must hold a JSON object")
     for key, value in overrides.items():
@@ -98,8 +75,8 @@ def _write_lines(path, render) -> None:
 
 
 def _cmd_mine(args) -> int:
-    config = PipelineConfig(repo=args.repo, records=args.records)
-    config.validate_source()
+    if bool(args.repo) == bool(args.records):
+        raise CorenameError("exactly one of --repo or --records is required")
     if args.records:
         records = load_rename_records_file(args.records)
     else:
@@ -132,16 +109,10 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    config = PipelineConfig(
-        records=args.renames,
-        mode=args.mode,
-        out=args.out,
-        lemma_table=args.lemma_table,
-    )
-    config.validate_mode()
-    records = load_rename_records_file(config.records)
-    chunked = attach_chunks(records, config.mode, _lemmatizer(args))
-    collection = build_rename_sets(chunked, config.mode)
+    mode = _mode(args)
+    records = load_rename_records_file(args.renames)
+    chunked = attach_chunks(records, mode, _lemmatizer(args))
+    collection = build_rename_sets(chunked, mode)
     _write_lines(args.out, lambda fp: serialize_rename_sets(collection, fp))
     print(
         f"wrote {len(collection)} rename sets "
@@ -173,39 +144,39 @@ def _load_facts_dir(directory) -> dict[str, CodeFacts]:
 
 
 def _cmd_analyze(args) -> int:
-    config = PipelineConfig(
-        records=args.renames,
-        mode=args.mode,
-        out=args.out,
-        lemma_table=args.lemma_table,
-        plots=args.plots,
-        filters=tuple(IdentifierKind(k) for k in args.filter)
-        if args.filter
-        else tuple(IdentifierKind),
-        workers=_workers(args),
-    )
-    config.validate_mode()
-    records = load_rename_records_file(config.records)
+    mode = _mode(args)
+    records = load_rename_records_file(args.renames)
     with open(args.sets, encoding="utf-8") as fh:
-        collection = load_rename_sets(fh, records, config.mode)
+        collection = load_rename_sets(fh, records, mode, source=args.sets)
+    commits = {s.commit for s in collection.sets}
     facts = None
+    own = default = 0
     if args.facts_dir:
         facts = _load_facts_dir(args.facts_dir)
-        default = facts.pop("default", None)
-        if default is not None:
+        fallback = facts.pop("default", None)
+        own = len(commits & facts.keys())
+        if fallback is not None:
             # single-snapshot approximation for commits without facts
-            facts = {**{s.commit: default for s in collection.sets}, **facts}
+            facts = {**{commit: fallback for commit in commits}, **facts}
+            default = len(commits) - own
     stats = build_repo_stats(
         records,
         collection,
         facts,
-        filters=config.filters,
+        filters=tuple(IdentifierKind(k) for k in args.filter)
+        if args.filter
+        else tuple(IdentifierKind),
         lemmatizer=_lemmatizer(args),
-        workers=config.workers,
     )
-    written = emit_report(stats, config.out, plots=config.plots)
+    written = emit_report(stats, args.out, plots=args.plots)
     print(
         "wrote " + ", ".join(str(p) for p in written),
+        file=sys.stderr,
+    )
+    print(
+        f"analyzed {len(collection)} sets: {stats.work.pairs} pairs evaluated, "
+        f"{stats.work.detections} distinct detections; commits: {own} own facts, "
+        f"{default} default.json, {len(commits) - own - default} empty facts",
         file=sys.stderr,
     )
     return 0
@@ -276,12 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mine = sub.add_parser("mine", help="collect rename records")
     mine.add_argument("--repo", help="version-control repository to walk")
     mine.add_argument("--records", help="pre-extracted rename records (JSONL)")
-    mine.add_argument(
-        "--detector",
-        choices=["naive"],
-        default="naive",
-        help="built-in detector used with --repo",
-    )
     mine.add_argument("--out", required=True)
     common(mine)
     mine.set_defaults(func=_cmd_mine)
@@ -320,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="identifier kind(s) for filtered rates (repeatable; default all)",
     )
     analyze.add_argument("--plots", action="store_true")
-    analyze.add_argument("--workers", type=int)
     analyze.add_argument("--lemma-table")
     analyze.add_argument("--out", required=True)
     common(analyze)

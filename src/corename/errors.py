@@ -10,13 +10,17 @@ class InvalidIdentifier(CorenameError):
 
 
 class ParseError(CorenameError):
-    """Malformed input record; carries the 1-based line number when known."""
+    """Malformed input; carries the file and the 1-based line number when
+    known."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, source=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if source is not None:
+            message = f"{source}: {message}"
         super().__init__(message)
         self.line = line
+        self.source = source
 
 
 class UnknownKind(ParseError):

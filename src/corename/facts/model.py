@@ -7,6 +7,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from ..errors import ParseError
+
 
 class EntityKind(str, enum.Enum):
     CLASS = "Class"
@@ -84,9 +86,6 @@ class CodeFacts:
             object.__setattr__(self, "_index", FactsIndex(self))
         return self._index
 
-    def entity(self, entity_id: int) -> Entity:
-        return self.entities[entity_id]
-
     def qualified_path(self, entity: Entity) -> str:
         parts = [entity.name]
         current = entity
@@ -120,31 +119,40 @@ class CodeFacts:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "CodeFacts":
-        entities = tuple(
-            Entity(
-                id=e["id"],
-                kind=EntityKind(e["kind"]),
-                name=e["name"],
-                container=e["container"],
-                file=e["file"],
-            )
-            for e in data.get("entities", [])
-        )
-        def rows(key):
-            return tuple(tuple(r) for r in data.get(key, []))
+    def from_json(cls, data) -> "CodeFacts":
+        """Rebuild facts from ``to_json`` output.
+
+        Raises ParseError for an entity without its keys, a row of the wrong
+        shape, or an entity id that names no entity.
+        """
+        if not isinstance(data, dict):
+            raise ParseError("facts are not a JSON object")
+        listed = _table(data, "entities")
+        entities = []
+        for position, e in enumerate(listed):
+            try:
+                entity = Entity(
+                    id=e["id"],
+                    kind=EntityKind(e["kind"]),
+                    name=e["name"],
+                    container=e["container"],
+                    file=e["file"],
+                )
+            except KeyError as exc:
+                raise ParseError(f"entity {position}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"entity {position}: {exc}") from None
+            if not (
+                entity.id == position
+                and isinstance(entity.name, str)
+                and isinstance(entity.file, str)
+                and (entity.container is None or _is_id(entity.container, len(listed)))
+            ):
+                raise ParseError(f"entity {position}: malformed {e!r}")
+            entities.append(entity)
         return cls(
-            entities=entities,
-            contains=rows("contains"),
-            extends=rows("extends"),
-            implements=rows("implements"),
-            typed=rows("typed"),
-            returns=rows("returns"),
-            invokes=rows("invokes"),
-            accesses=rows("accesses"),
-            assigns=rows("assigns"),
-            passes=rows("passes"),
-            skipped=rows("skipped"),
+            entities=tuple(entities),
+            **{key: _rows(data, key, len(entities)) for key in _COLUMNS},
         )
 
     def save(self, path) -> None:
@@ -154,8 +162,68 @@ class CodeFacts:
 
     @classmethod
     def load(cls, path) -> "CodeFacts":
+        """Read a facts file; a malformed one raises ParseError naming it."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise ParseError(
+                    f"invalid JSON: {exc.msg}", line=exc.lineno, source=path
+                ) from None
+            except ParseError as exc:
+                raise ParseError(str(exc), source=path) from None
+
+
+# column types of each table row: "i" an entity id, "s" a name
+_COLUMNS = {
+    "contains": "ii",
+    "extends": "is",
+    "implements": "is",
+    "typed": "is",
+    "returns": "is",
+    "invokes": "is",
+    "accesses": "is",
+    "assigns": "sss",
+    "passes": "sss",
+    "skipped": "ss",
+}
+
+
+def _table(data: dict, key: str) -> list:
+    table = data.get(key, [])
+    if not isinstance(table, list):
+        raise ParseError(f"{key}: not a list")
+    return table
+
+
+def _is_id(value, count: int) -> bool:
+    return type(value) is int and 0 <= value < count
+
+
+def _rows(data: dict, key: str, count: int) -> tuple:
+    """The table's rows as tuples; raises ParseError at the first row that
+    does not match the table's column types."""
+    table = _table(data, key)
+    if not _well_formed(table, _COLUMNS[key], count):
+        for position, row in enumerate(table):
+            if not _well_formed([row], _COLUMNS[key], count):
+                raise ParseError(f"{key} row {position}: malformed {row!r}")
+    return tuple(map(tuple, table))
+
+
+def _well_formed(table: list, columns: str, count: int) -> bool:
+    # column-wise, so that large tables are checked at C speed
+    if not table:
+        return True
+    if set(map(type, table)) != {list} or set(map(len, table)) != {len(columns)}:
+        return False
+    for column, values in zip(columns, zip(*table)):
+        if column == "s":
+            if set(map(type, values)) != {str}:
+                return False
+        elif set(map(type, values)) != {int} or min(values) < 0 or max(values) >= count:
+            return False
+    return True
 
 
 class FactsIndex:
@@ -171,15 +239,18 @@ class FactsIndex:
         self.contain_names: dict[
             tuple[EntityKind, EntityKind], set[tuple[str, str]]
         ] = defaultdict(set)
+        # method name -> names of the classes declaring it, and the method
+        # names declared at least twice under one class name (overloads)
+        self.method_classes: dict[str, set[str]] = defaultdict(set)
+        self.repeated_methods: set[str] = set()
         for parent_id, child_id in facts.contains:
             p, c = ent[parent_id], ent[child_id]
             self.contain_names[(p.kind, c.kind)].add((p.name, c.name))
-        # class name -> method names with multiplicity (sibling methods)
-        self.methods_per_class: dict[str, list[str]] = defaultdict(list)
-        for parent_id, child_id in facts.contains:
-            p, c = ent[parent_id], ent[child_id]
             if p.kind is EntityKind.CLASS and c.kind is EntityKind.METHOD:
-                self.methods_per_class[p.name].append(c.name)
+                classes = self.method_classes[c.name]
+                if p.name in classes:
+                    self.repeated_methods.add(c.name)
+                classes.add(p.name)
         self.extends_names = {
             (super_name, ent[sub_id].name) for sub_id, super_name in facts.extends
         }

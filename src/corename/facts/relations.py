@@ -24,13 +24,12 @@ def _belongs(parent_kind: EntityKind, child_kind: EntityKind):
 
 
 def _co_occurs_m(index: FactsIndex, m1: str, m2: str) -> bool:
-    for methods in index.methods_per_class.values():
-        if m1 == m2:
-            if methods.count(m1) >= 2:
-                return True
-        elif m1 in methods and m2 in methods:
-            return True
-    return False
+    if m1 == m2:
+        return m1 in index.repeated_methods
+    classes = index.method_classes.get(m1)
+    return classes is not None and not classes.isdisjoint(
+        index.method_classes.get(m2, ())
+    )
 
 
 def _extends(index: FactsIndex, superclass: str, subclass: str) -> bool:

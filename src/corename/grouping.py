@@ -9,8 +9,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .chunks import diff_chunks
-from .errors import InvalidIdentifier
-from .lexicon import Lemmatizer, normalize
+from .errors import InvalidIdentifier, ParseError
+from .lexicon import Lemmatizer, WordSequence, normalize
 from .mining import RenameRecord, with_chunks
 
 logger = logging.getLogger(__name__)
@@ -56,23 +56,35 @@ def attach_chunks(
     """Compute each record's operational chunks for the given mode.
 
     Records whose names are not splittable identifiers keep an empty chunk
-    list (they then belong to no rename set) and are logged.
+    list (they then belong to no rename set) and are logged.  Each distinct
+    name is normalized once per call.
     """
+    sequences: dict[str, WordSequence | InvalidIdentifier] = {}
+
+    def words(name):
+        seq = sequences.get(name)
+        if seq is None:
+            try:
+                seq = normalize(name, mode, lemmatizer)
+            except InvalidIdentifier as exc:
+                seq = exc
+            sequences[name] = seq
+        return seq
+
     out = []
     for record in records:
-        try:
-            old_seq = normalize(record.old_name, mode, lemmatizer)
-            new_seq = normalize(record.new_name, mode, lemmatizer)
-        except InvalidIdentifier as exc:
+        old_seq, new_seq = words(record.old_name), words(record.new_name)
+        invalid = [s for s in (old_seq, new_seq) if isinstance(s, InvalidIdentifier)]
+        if invalid:
             logger.warning(
                 "skipping rename %s -> %s: %s",
                 record.old_name,
                 record.new_name,
-                exc,
+                invalid[0],
             )
             out.append(with_chunks(record, ()))
-            continue
-        out.append(with_chunks(record, diff_chunks(old_seq, new_seq, mode)))
+        else:
+            out.append(with_chunks(record, diff_chunks(old_seq, new_seq, mode)))
     return out
 
 
@@ -134,16 +146,54 @@ def serialize_rename_sets(collection: RenameSetCollection, fp) -> None:
 
 
 def load_rename_sets(
-    stream: Iterable[str], records: list[RenameRecord], mode: str
+    stream: Iterable[str],
+    records: list[RenameRecord],
+    mode: str,
+    source: str | None = None,
 ) -> RenameSetCollection:
+    """Parse the lines written by ``serialize_rename_sets``.
+
+    Raises ParseError, naming ``source`` and the line, for invalid JSON, a
+    line that is not an object, missing keys, or a member that is not the
+    position of a record.
+    """
     sets = []
-    for line in stream:
-        line = line.strip()
+    for number, raw in enumerate(stream, start=1):
+        line = raw.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        members = tuple(records[i] for i in obj["members"])
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"invalid JSON: {exc.msg}", line=number, source=source
+            ) from None
+        if not isinstance(obj, dict):
+            raise ParseError("set is not an object", line=number, source=source)
+        missing = {"commit", "key", "members"} - obj.keys()
+        if missing:
+            raise ParseError(
+                f"missing keys: {', '.join(sorted(missing))}",
+                line=number,
+                source=source,
+            )
+        commit, key, members = obj["commit"], obj["key"], obj["members"]
+        if not (isinstance(commit, str) and isinstance(key, str)):
+            raise ParseError(
+                "commit and key must be strings", line=number, source=source
+            )
+        if not isinstance(members, list):
+            raise ParseError("members is not a list", line=number, source=source)
+        for i in members:
+            if type(i) is not int or not 0 <= i < len(records):
+                raise ParseError(
+                    f"member {i!r} is not a record position in [0, {len(records)})",
+                    line=number,
+                    source=source,
+                )
         sets.append(
-            MeaningfulRenameSet(commit=obj["commit"], key=obj["key"], members=members)
+            MeaningfulRenameSet(
+                commit=commit, key=key, members=tuple(records[i] for i in members)
+            )
         )
     return RenameSetCollection(sets=tuple(sets), mode=mode)

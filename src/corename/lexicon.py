@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from importlib import resources
 
-from .errors import InvalidIdentifier
+from .errors import InvalidIdentifier, ParseError
 
 CASING_LOWER = "lower"
 CASING_CAPITALIZED = "Capitalized"
@@ -198,7 +197,7 @@ class Lemmatizer:
     def from_file(cls, path) -> "Lemmatizer":
         exceptions: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
-            cls._parse_table(fh, exceptions)
+            cls._parse_table(fh, exceptions, path)
         return cls(exceptions)
 
     @classmethod
@@ -209,16 +208,23 @@ class Lemmatizer:
             .joinpath("data/irregular_forms.txt")
             .read_text(encoding="utf-8")
         )
-        cls._parse_table(text.splitlines(), exceptions)
+        cls._parse_table(text.splitlines(), exceptions, "irregular_forms.txt")
         return cls(exceptions)
 
     @staticmethod
-    def _parse_table(lines, exceptions: dict[str, str]) -> None:
-        for raw in lines:
+    def _parse_table(lines, exceptions: dict[str, str], source) -> None:
+        for number, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            inflected, lemma = line.split()
+            columns = line.split()
+            if len(columns) != 2:
+                raise ParseError(
+                    f"expected 'inflected lemma', got {len(columns)} columns",
+                    line=number,
+                    source=source,
+                )
+            inflected, lemma = columns
             exceptions[inflected] = lemma
 
     def __call__(self, word: str) -> str:
@@ -302,13 +308,3 @@ def normalize(
     lem = lemmatizer or default_lemmatizer()
     words = tuple(replace(w, lemma=lem(w.folded)) for w in seq.words)
     return WordSequence(origin=seq.origin, words=words)
-
-
-@lru_cache(maxsize=65536)
-def _normalize_cached(name: str, mode: str) -> WordSequence:
-    return normalize(name, mode)
-
-
-def normalize_cached(name: str, mode: str = "lemma") -> WordSequence:
-    """Memoized ``normalize`` with the bundled lemmatizer (hot paths)."""
-    return _normalize_cached(name, mode)

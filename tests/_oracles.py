@@ -1,10 +1,12 @@
-"""Independent reference implementations used to check the differ.
+"""Independent reference implementations used to check the differ, and
+copies of replaced code paths that their replacements are checked against.
 
 Nothing here may import from corename.chunks internals: these are the
 yardsticks the production diff is measured against.
 """
 
 import itertools
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -140,3 +142,144 @@ def random_pair(rng, min_len, max_len, alphabet):
 def all_sequences(max_len, alphabet):
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)
+
+
+# --- replaced code paths ----------------------------------------------------
+
+
+def co_occurs_m_scan(facts, m1, m2):
+    """CoOccursM by scanning every class's method list on each call."""
+    from corename.facts.model import EntityKind
+
+    methods_per_class = defaultdict(list)
+    for parent_id, child_id in facts.contains:
+        p, c = facts.entities[parent_id], facts.entities[child_id]
+        if p.kind is EntityKind.CLASS and c.kind is EntityKind.METHOD:
+            methods_per_class[p.name].append(c.name)
+    for methods in methods_per_class.values():
+        if m1 == m2:
+            if methods.count(m1) >= 2:
+                return True
+        elif m1 in methods and m2 in methods:
+            return True
+    return False
+
+
+def attach_chunks_per_record(records, mode, lemmatizer=None):
+    """``attach_chunks`` normalizing both names of every record afresh."""
+    from corename.chunks import diff_chunks
+    from corename.errors import InvalidIdentifier
+    from corename.lexicon import normalize
+    from corename.mining import with_chunks
+
+    out = []
+    for record in records:
+        try:
+            old_seq = normalize(record.old_name, mode, lemmatizer)
+            new_seq = normalize(record.new_name, mode, lemmatizer)
+        except InvalidIdentifier:
+            out.append(with_chunks(record, ()))
+            continue
+        out.append(with_chunks(record, diff_chunks(old_seq, new_seq, mode)))
+    return out
+
+
+def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=None):
+    """``build_repo_stats`` as one relationship-rate pass per filter, one
+    for the inflection-new sets, and two chunking passes per mode."""
+    from corename.analytics import (
+        InflectionImpact,
+        RepoStats,
+        co_rename_rate,
+        size_distribution,
+    )
+    from corename.errors import NoDataError
+    from corename.facts import CodeFacts
+    from corename.facts.relations import detect_relationships
+    from corename.grouping import (
+        RenameSetCollection,
+        attach_chunks,
+        build_rename_sets,
+        collection_difference,
+        enumerate_pairs,
+    )
+    from corename.mining import IdentifierKind
+
+    empty = CodeFacts()
+
+    def facts_for(commit):
+        if facts is None:
+            return empty
+        if isinstance(facts, CodeFacts):
+            return facts
+        return facts.get(commit, empty)
+
+    def relationship_rates(collection, kind_filter=None):
+        counts = Counter()
+        for s in collection.sets:
+            if len(s) < 2 or (
+                kind_filter is not None
+                and not any(m.kind == kind_filter for m in s.members)
+            ):
+                continue
+            snapshot = facts_for(s.commit)
+            for left, right in enumerate_pairs(s):
+                counts.update(
+                    detect_relationships(snapshot, left.old_name, right.old_name)
+                )
+        total = sum(counts.values())
+        if total == 0:
+            raise NoDataError("no relationships detected")
+        return {k: counts[k] / total for k in sorted(counts, key=lambda k: k.value)}
+
+    def chunk_type_rates(mode):
+        counts = Counter(
+            chunk.kind
+            for record in attach_chunks(records, mode, lemmatizer)
+            for chunk in record.chunks
+        )
+        total = sum(counts.values())
+        if total == 0:
+            raise NoDataError("no operational chunks")
+        return {k: counts[k] / total for k in sorted(counts, key=lambda k: k.value)}
+
+    def or_none(fn, *args):
+        try:
+            return fn(*args)
+        except NoDataError:
+            return None
+
+    raw_coll = build_rename_sets(attach_chunks(records, "raw", lemmatizer), "raw")
+    lemma_coll = build_rename_sets(
+        attach_chunks(records, "lemma", lemmatizer), "lemma"
+    )
+    new_sets = collection_difference(lemma_coll, raw_coll)
+    new_rates = None
+    if facts is not None and new_sets:
+        new_rates = or_none(
+            relationship_rates, RenameSetCollection(tuple(new_sets), "lemma")
+        )
+    return RepoStats(
+        mode=coll.mode,
+        record_count=len(records),
+        set_count=len(coll),
+        member_total=coll.member_total(),
+        co_rename_rate=or_none(co_rename_rate, coll),
+        size_distribution=tuple(or_none(size_distribution, coll) or ()),
+        relationship_rates=or_none(relationship_rates, coll),
+        filtered_rates={
+            kind: or_none(relationship_rates, coll, kind)
+            for kind in (filters or tuple(IdentifierKind))
+        },
+        chunk_type_rates={mode: or_none(chunk_type_rates, mode) for mode in ("raw", "lemma")},
+        inflection=InflectionImpact(
+            raw_co_rename_rate=or_none(co_rename_rate, raw_coll),
+            lemma_co_rename_rate=or_none(co_rename_rate, lemma_coll),
+            raw_set_count=len(raw_coll),
+            lemma_set_count=len(lemma_coll),
+            raw_member_total=raw_coll.member_total(),
+            lemma_member_total=lemma_coll.member_total(),
+            new_set_count=len(new_sets),
+            new_set_relationship_rates=new_rates,
+        ),
+    )

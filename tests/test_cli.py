@@ -150,12 +150,23 @@ class TestAnalyze:
         assert list(data["filtered_rates"]) == ["Method"]
 
     def test_workers_determinism(self, tmp_path, facts_dir):
-        one = analyze(tmp_path, facts_dir, "one", "--workers", "1", "--plots")
-        eight = analyze(tmp_path, facts_dir, "eight", "--workers", "8", "--plots")
+        # two plain runs write byte-identical files
+        one = analyze(tmp_path, facts_dir, "one", "--plots")
+        two = analyze(tmp_path, facts_dir, "two", "--plots")
         files = sorted(p.name for p in one.iterdir())
-        assert files == sorted(p.name for p in eight.iterdir())
+        assert files == sorted(p.name for p in two.iterdir())
         for name in files:
-            assert (one / name).read_bytes() == (eight / name).read_bytes()
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_work_counters_on_stderr(self, tmp_path, facts_dir, capsys):
+        (facts_dir / "default.json").write_text((facts_dir / "c01.json").read_text())
+        (facts_dir / "c01.json").unlink()
+        analyze(tmp_path, facts_dir, "report")
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == (
+            "analyzed 21 sets: 22 pairs evaluated, 15 distinct detections; "
+            "commits: 7 own facts, 13 default.json, 0 empty facts"
+        )
 
     def test_default_snapshot_fallback(self, tmp_path):
         facts_dir = tmp_path / "facts"
@@ -344,13 +355,92 @@ class TestSharedOptions:
         assert len(merged) == 1
         assert len(merged[0]["members"]) == 2
 
-    def test_workers_env_honored(self, monkeypatch):
-        import argparse
+    def test_workers_option_rejected(self, tmp_path):
+        sets_path = tmp_path / "sets.jsonl"
+        assert run(["group", "--renames", str(CORPUS / "renames.jsonl"), "--out", str(sets_path)]) == 0
+        argv = [
+            "analyze",
+            "--renames",
+            str(CORPUS / "renames.jsonl"),
+            "--sets",
+            str(sets_path),
+            "--out",
+            str(tmp_path / "report"),
+        ]
+        assert run([*argv, "--workers", "2"]) == 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": 8}))
+        assert run([*argv, "--config", str(config)]) == 2
 
-        from corename.cli import _workers
 
-        monkeypatch.setenv("CORENAME_WORKERS", "5")
-        assert _workers(argparse.Namespace(workers=None)) == 5
-        assert _workers(argparse.Namespace(workers=3)) == 3
-        monkeypatch.delenv("CORENAME_WORKERS")
-        assert _workers(argparse.Namespace(workers=None)) >= 1
+class TestMalformedInputs:
+    """Each malformed input exits 2 with a diagnostic naming file and line."""
+
+    def analyze_argv(self, tmp_path, sets_path, *extra):
+        return [
+            "analyze",
+            "--renames",
+            str(CORPUS / "renames.jsonl"),
+            "--sets",
+            str(sets_path),
+            "--out",
+            str(tmp_path / "report"),
+            *extra,
+        ]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"commit": "c01", "key": "k", "members": [0,',
+            '"c01"',
+            '{"commit": "c01", "members": [0]}',
+            '{"commit": "c01", "key": "k", "members": [33]}',
+            '{"commit": "c01", "key": "k", "members": [-1]}',
+            '{"commit": "c01", "key": "k", "members": [true]}',
+        ],
+    )
+    def test_sets_file(self, tmp_path, capsys, line):
+        sets_path = tmp_path / "sets.jsonl"
+        sets_path.write_text('{"commit": "c01", "key": "k", "members": [0, 1]}\n' + line + "\n")
+        assert run(self.analyze_argv(tmp_path, sets_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{sets_path}: line 2: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"entities": [{"id": 0, "kind": "Class"',
+            '{"entities": [{"id": 0, "kind": "Class", "name": "A"}]}',
+        ],
+    )
+    def test_facts_file(self, tmp_path, facts_dir, capsys, text):
+        sets_path = tmp_path / "sets.jsonl"
+        assert run(["group", "--renames", str(CORPUS / "renames.jsonl"), "--out", str(sets_path)]) == 0
+        bad = facts_dir / "c02.json"
+        bad.write_text(text)
+        argv = self.analyze_argv(tmp_path, sets_path, "--facts-dir", str(facts_dir))
+        assert run(argv) == 2
+        assert f"corename: error: {bad}: " in capsys.readouterr().err
+
+    def test_lemma_table_line(self, tmp_path, capsys):
+        table = tmp_path / "forms.txt"
+        table.write_text("gizmos widget\ngadgets\n")
+        argv = [
+            "group",
+            "--renames",
+            str(CORPUS / "renames.jsonl"),
+            "--lemma-table",
+            str(table),
+            "--out",
+            str(tmp_path / "sets.jsonl"),
+        ]
+        assert run(argv) == 2
+        assert f"{table}: line 2: " in capsys.readouterr().err
+
+    def test_config_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{oops")
+        argv = ["mine", "--records", str(CORPUS / "renames.jsonl"), "--out", str(tmp_path / "r.jsonl")]
+        assert run([*argv, "--config", str(config)]) == 2
+        assert f"{config}: line 1: " in capsys.readouterr().err

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from corename.errors import ParseError
 from corename.facts import (
     CodeFacts,
     EntityKind,
@@ -279,6 +282,27 @@ class TestFactsJson:
         facts.save(path)
         again = CodeFacts.load(path)
         assert again == facts
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"entities": [', "line 1: invalid JSON"),
+            ('[]', "not a JSON object"),
+            ('{"entities": [{"id": 0, "kind": "Class", "name": "A"}]}', "entity 0: missing key"),
+            ('{"entities": [{"id": 0, "kind": "Klass", "name": "A", "container": null, "file": "A.java"}]}', "entity 0:"),
+            ('{"entities": [{"id": 0, "kind": "Class", "name": "A", "container": 4, "file": "A.java"}]}', "entity 0: malformed"),
+            ('{"entities": [], "contains": [[0, 1]]}', "contains row 0"),
+            ('{"entities": [], "assigns": [["a", "b"]]}', "assigns row 0"),
+            ('{"typed": {}}', "typed: not a list"),
+        ],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "c01.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as caught:
+            CodeFacts.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert message in str(caught.value)
 
     def test_json_is_plain_data(self, tmp_path):
         facts = extract_facts({"Metrics.java": FIG_SOURCE})

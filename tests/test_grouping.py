@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+from _oracles import attach_chunks_per_record
+from corename.errors import ParseError
 from corename.grouping import (
     attach_chunks,
     build_rename_sets,
@@ -170,6 +172,28 @@ class TestSerialization:
         again = load_rename_sets(lines, records, "lemma")
         assert again == coll
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"commit": "c1", "key": "k", "members": [0', "invalid JSON"),
+            ('[0, 1]', "not an object"),
+            ('{"commit": "c1", "members": [0]}', "missing keys: key"),
+            ('{"commit": "c1", "key": "k", "members": [0, 3]}', "member 3 "),
+            ('{"commit": "c1", "key": "k", "members": [-1]}', "member -1 "),
+            ('{"commit": "c1", "key": "k", "members": ["0"]}', "member '0' "),
+            ('{"commit": "c1", "key": "k", "members": 0}', "not a list"),
+            ('{"commit": ["c1"], "key": "k", "members": [0]}', "must be strings"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, line, message):
+        records = [record("c1", "aValue", "aResult", index=i) for i in range(3)]
+        good = '{"commit": "c1", "key": "k", "members": [0, 1]}'
+        with pytest.raises(ParseError) as caught:
+            load_rename_sets([good, "", line], records, "lemma", source="sets.jsonl")
+        assert str(caught.value).startswith("sets.jsonl: line 3: ")
+        assert message in str(caught.value)
+        assert caught.value.line == 3
+
     def test_invalid_identifier_records_have_no_sets(self):
         records = [record("c1", "foo$bar", "baz$bar", index=0)]
         coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
@@ -188,3 +212,19 @@ def test_member_total_equals_distinct_chunk_key_count():
         coll = build_rename_sets(chunked, mode)
         assert coll.member_total() == sum(len(r.chunk_keys()) for r in chunked)
         assert coll.member_total() >= sum(1 for r in chunked if r.chunks)
+
+
+def test_attach_chunks_matches_per_record_normalize():
+    from pathlib import Path
+
+    from corename.mining import load_rename_records_file
+
+    corpus = Path(__file__).parent / "fixtures" / "corpus" / "renames.jsonl"
+    records = load_rename_records_file(corpus)
+    records += [
+        record("c9", "foo$bar", "fooBar", index=len(records)),
+        record("c9", "fooBar", "foo$bar", index=len(records) + 1),
+        record("c9", "nodes", "fooBar", index=len(records) + 2),
+    ]
+    for mode in ("raw", "lemma"):
+        assert attach_chunks(records, mode) == attach_chunks_per_record(records, mode)

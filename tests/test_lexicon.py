@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from corename.errors import InvalidIdentifier
+from corename.errors import InvalidIdentifier, ParseError
 from corename.lexicon import (
     Lemmatizer,
     casing_of,
@@ -111,6 +111,14 @@ class TestLemmatizer:
         lem = Lemmatizer.from_file(table)
         assert lem("foos") == "bar"
         assert lem("cars") == "car"
+
+    @pytest.mark.parametrize("line", ["foos", "foos bar baz"])
+    def test_table_line_without_two_columns(self, tmp_path, line):
+        table = tmp_path / "forms.txt"
+        table.write_text(f"# comment\nfoos bar\n{line}\n")
+        with pytest.raises(ParseError) as caught:
+            Lemmatizer.from_file(table)
+        assert str(caught.value).startswith(f"{table}: line 3: ")
 
     def test_idempotent_on_generated_inflections(self):
         # Stems drawn from common identifier vocabulary, inflected by the

@@ -1,14 +1,26 @@
 """Golden fixtures for all 14 relationship kinds: one positive and one
 mutated negative per kind, plus structural properties of the detector."""
 
-import pytest
+from itertools import combinations_with_replacement
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from _oracles import co_occurs_m_scan
 from corename.facts import (
+    CodeFacts,
+    Entity,
+    EntityKind,
     RelationshipKind,
     detect_relationships,
     extract_facts,
+    extract_facts_from_dir,
     relationship_table,
 )
+from corename.facts.relations import _co_occurs_m
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # kind, source where the relationship holds for (a, b), source with one
 # name changed where it does not, (a, b)
@@ -155,6 +167,7 @@ def test_co_occurs_for_equal_names_needs_two_methods():
         extract_facts({"F.java": single}), "m", "m"
     )
 
+
 def test_absent_names_have_no_relationships():
     facts = extract_facts({"F.java": "class A { int x; }"})
     assert detect_relationships(facts, "nothing", "nowhere") == set()
@@ -170,3 +183,57 @@ def test_monotonic_growth():
     assert RelationshipKind.EXTENDS in detect_relationships(
         extract_facts(grown), "Item", "Extra"
     )
+
+
+def assert_co_occurs_matches_scan(facts, names):
+    for a, b in combinations_with_replacement(sorted(names), 2):
+        expected = co_occurs_m_scan(facts, a, b)
+        assert _co_occurs_m(facts.index, a, b) == expected, (a, b)
+        assert _co_occurs_m(facts.index, b, a) == expected, (b, a)
+
+
+@pytest.mark.parametrize(
+    "snapshot",
+    [*sorted((FIXTURES / "corpus" / "src").iterdir()), FIXTURES / "fig1"],
+    ids=lambda path: path.name,
+)
+def test_co_occurs_index_matches_scan_on_fixtures(snapshot):
+    facts = extract_facts_from_dir(snapshot)
+    assert_co_occurs_matches_scan(facts, {e.name for e in facts.entities} | {"absent"})
+
+
+METHOD_NAMES = ("get", "put", "size", "clear")
+
+
+@st.composite
+def contains_tables(draw):
+    """Classes and methods drawn from tiny name pools, so that method names
+    repeat within and across classes and distinct classes share names."""
+    kinds = draw(
+        st.lists(
+            st.sampled_from((EntityKind.CLASS, EntityKind.METHOD, EntityKind.ATTRIBUTE)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    entities = tuple(
+        Entity(
+            id=i,
+            kind=kind,
+            name=draw(
+                st.sampled_from(("A", "B", "get") if kind is EntityKind.CLASS else METHOD_NAMES)
+            ),
+            container=None,
+            file="F.java",
+        )
+        for i, kind in enumerate(kinds)
+    )
+    ids = st.integers(0, len(entities) - 1)
+    contains = draw(st.lists(st.tuples(ids, ids), max_size=20))
+    return CodeFacts(entities=entities, contains=tuple(contains))
+
+
+@settings(max_examples=300, deadline=None)
+@given(contains_tables())
+def test_co_occurs_index_matches_scan_on_generated_tables(facts):
+    assert_co_occurs_matches_scan(facts, {*METHOD_NAMES, "A", "B", "absent"})
