@@ -73,35 +73,6 @@ def chunk_key(chunk: OperationalChunk) -> str:
     )
 
 
-def _lcs_len(a, b) -> int:
-    n = len(b)
-    if not a or not n:
-        return 0
-    if len(a) == 1:
-        return 1 if a[0] in b else 0
-    if n == 1:
-        return 1 if b[0] in a else 0
-    prev = [0] * (n + 1)
-    for ai in a:
-        cur = [0]
-        append = cur.append
-        best = 0
-        for j in range(n):
-            if ai == b[j]:
-                value = prev[j] + 1
-                if value > best:
-                    best = value
-            else:
-                value = prev[j + 1]
-                if best > value:
-                    value = best
-                else:
-                    best = value
-            append(value)
-        prev = cur
-    return prev[n]
-
-
 def _gap_chunk(deleted, added, anchor, old) -> OperationalChunk:
     if deleted and added:
         kind = ChunkKind.REPLACE
@@ -115,107 +86,82 @@ def _gap_chunk(deleted, added, anchor, old) -> OperationalChunk:
     return OperationalChunk(kind, tuple(deleted), tuple(added), anchor, left, right)
 
 
-def _split(a, b, offset, old, out, i, j, length, left_total, right_total):
-    """Match the run at (i, j) and resolve what surrounds it."""
-    if left_total == 0:
-        if i or j:
-            out.append(_gap_chunk(a[:i], b[:j], offset, old))
-    else:
-        _diff_rec(a[:i], b[:j], offset, old, out, left_total)
-    end_a, end_b = i + length, j + length
-    if right_total == 0:
-        if end_a < len(a) or end_b < len(b):
-            out.append(_gap_chunk(a[end_a:], b[end_b:], offset + end_a, old))
-    else:
-        _diff_rec(a[end_a:], b[end_b:], offset + end_a, old, out, right_total)
-
-
-def _diff_rec(a, b, offset, old, out, total=None) -> None:
+def _diff(a, b, offset, old, out, total=None) -> None:
+    """Append the chunks between ``a`` and ``b``, anchored at ``offset``
+    in ``old``.  A caller that knows the LCS length passes it as ``total``,
+    so that a side with no common words becomes one gap without tables."""
     if a == b:
         return
-    if not a or not b:
+    if total == 0 or not a or not b:
         out.append(_gap_chunk(a, b, offset, old))
         return
     m, n = len(a), len(b)
-    # run[i][j]: length of the common contiguous run starting at (i, j);
-    # the scan right-to-left, bottom-to-top resolves length ties to the
-    # smallest (i, j).
-    run = [None] * m
-    best_len = 0
-    best_i = best_j = 0
-    below = [0] * (n + 1)
+    # run[i][j]: length of the common run starting at (i, j); suf[i][j]:
+    # LCS length of a[i:] and b[j:].  Filling bottom-up, right-to-left and
+    # keeping ties leaves the leftmost longest run in (bi, bj, best).
+    run = [[0] * (n + 1) for _ in range(m + 1)]
+    suf = [[0] * (n + 1) for _ in range(m + 1)]
+    best = bi = bj = 0
     for i in range(m - 1, -1, -1):
-        ai = a[i]
-        row = [0] * (n + 1)
+        ai, run_i, run_below = a[i], run[i], run[i + 1]
+        suf_i, suf_below = suf[i], suf[i + 1]
         for j in range(n - 1, -1, -1):
             if ai == b[j]:
-                length = below[j + 1] + 1
-                row[j] = length
-                if length >= best_len:
-                    best_len = length
-                    best_i, best_j = i, j
-        run[i] = below = row
-    if best_len == 0:
+                length = run_i[j] = run_below[j + 1] + 1
+                suf_i[j] = suf_below[j + 1] + 1
+                if length >= best:
+                    best, bi, bj = length, i, j
+            else:
+                down, right = suf_below[j], suf_i[j + 1]
+                suf_i[j] = down if down >= right else right
+    total = suf[0][0]
+    if total == 0:
         out.append(_gap_chunk(a, b, offset, old))
         return
-    if total is None:
-        if best_len == m or best_len == n:
-            total = best_len  # a full-side run is always a maximum alignment
-        else:
-            total = _lcs_len(a, b)
-    if best_len == total:
-        # The leftmost longest run accounts for every unchanged word, so
-        # whatever surrounds it is a plain gap on each side.
-        _split(a, b, offset, old, out, best_i, best_j, best_len, 0, 0)
-        return
-    # The longest run overcommits.  Try runs longest-first (leftmost on
-    # ties) and split at the first whose matching keeps the overall number
-    # of unchanged words maximal.
-    candidates = []
-    for i in range(m):
-        row = run[i]
-        for j in range(n):
-            if row[j]:
-                candidates.append((-row[j], i, j))
-    candidates.sort()
-    for neg_len, i, j in candidates:
-        length = -neg_len
-        need = total - length
-        cap_left = i if i < j else j
-        rem_a, rem_b = m - i - length, n - j - length
-        cap_right = rem_a if rem_a < rem_b else rem_b
-        if cap_left + cap_right < need:
-            continue
-        left = _lcs_len(a[:i], b[:j])
-        if left + cap_right < need:
-            continue
-        right = _lcs_len(a[i + length :], b[j + length :])
-        if left + right == need:
-            _split(a, b, offset, old, out, i, j, length, left, right)
-            return
-    # Defensive completeness: an optimal alignment's own runs are prefixes
-    # of text runs, so trying truncated runs as well always finds a split.
-    for length in range(best_len - 1, 0, -1):
+    if best < total:
+        # The longest run overcommits.  Split instead at the longest run,
+        # leftmost on ties, that lies on some maximal alignment: one whose
+        # prefix LCS, length and suffix LCS add up to the total.  Such a
+        # run always exists: matching the equal first words of a[i:] and
+        # b[j:] never shortens their LCS, so the whole run at any matched
+        # pair of a maximal alignment lies on one too.  pre_i holds the LCS
+        # lengths of a[:i] against each prefix of b.
+        best = 0
+        pre_i = [0] * (n + 1)
         for i in range(m):
-            row = run[i]
+            ai, run_i = a[i], run[i]
             for j in range(n):
-                if row[j] > length:
-                    left = _lcs_len(a[:i], b[:j])
-                    right = _lcs_len(a[i + length :], b[j + length :])
-                    if left + length + right == total:
-                        _split(a, b, offset, old, out, i, j, length, left, right)
-                        return
-    raise AssertionError("no optimal common run found")  # pragma: no cover
+                length = run_i[j]
+                if (
+                    length > best
+                    and pre_i[j] + length + suf[i + length][j + length] == total
+                ):
+                    best, bi, bj = length, i, j
+            pre_next = [0]
+            for j in range(n):
+                if ai == b[j]:
+                    pre_next.append(pre_i[j] + 1)
+                else:
+                    up, left = pre_i[j + 1], pre_next[j]
+                    pre_next.append(up if up >= left else left)
+            pre_i = pre_next
+    end_a, end_b = bi + best, bj + best
+    right_total = suf[end_a][end_b]
+    _diff(a[:bi], b[:bj], offset, old, out, total - best - right_total)
+    _diff(a[end_a:], b[end_b:], offset + end_a, old, out, right_total)
 
 
 def diff_lemmas(old: tuple[str, ...], new: tuple[str, ...]) -> list[OperationalChunk]:
     """Insert/Delete/Replace chunks between two lemma sequences.
 
-    The alignment minimizes the total number of changed words; ties are
-    broken by matching the leftmost longest common run first.
+    The alignment minimizes the total number of changed words.  Among the
+    common runs that lie on such an alignment, the longest one is matched
+    first, the leftmost on ties, and the words on each side of it are
+    aligned by the same rule; every maximal run of unmatched words becomes
+    one chunk.
     """
     out: list[OperationalChunk] = []
-    _diff_rec(tuple(old), tuple(new), 0, tuple(old), out)
+    _diff(tuple(old), tuple(new), 0, tuple(old), out)
     return out
 
 

@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analytics import build_repo_stats, emit_report, load_report
@@ -25,7 +26,7 @@ from .grouping import (
     load_rename_sets,
     serialize_rename_sets,
 )
-from .lexicon import MODES, Lemmatizer
+from .lexicon import Lemmatizer
 from .mining import (
     IdentifierKind,
     RenameRecord,
@@ -42,14 +43,37 @@ def _lemmatizer(args) -> Lemmatizer | None:
     return Lemmatizer.from_file(table) if table else None
 
 
-def _mode(args) -> str:
-    if args.mode not in MODES:
-        raise CorenameError(f"unknown mode: {args.mode!r}")
-    return args.mode
+def _config_problem(action: argparse.Action, value) -> str | None:
+    """Why ``value`` cannot stand for ``action``'s flag, or None if it can.
+
+    A flag without an argument takes true or false, a repeatable option a
+    list of what one occurrence takes, and any other option a number or a
+    string as its ``type`` says, drawn from its ``choices`` if it has them.
+    """
+    if action.nargs == 0:
+        return None if isinstance(value, bool) else "must be true or false"
+    items = [value]
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list):
+            return "must be a list"
+        items = value
+    for item in items:
+        if action.type is float:
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                return f"must be a number, not {json.dumps(item)}"
+        elif not isinstance(item, str):
+            return f"must be a string, not {json.dumps(item)}"
+        if action.choices is not None and item not in action.choices:
+            return f"must be one of {', '.join(action.choices)}, not {item!r}"
+    return None
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Overlay values from --config onto parsed flags (config wins)."""
+    """Overlay values from --config onto parsed flags (config wins).
+
+    Each value is checked against the option it names as the command line
+    would check it, so a mistyped value exits 2 naming the file and key.
+    """
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as fh:
@@ -60,12 +84,20 @@ def _apply_config(args: argparse.Namespace) -> None:
                 f"invalid JSON: {exc.msg}", line=exc.lineno, source=args.config
             ) from None
     if not isinstance(overrides, dict):
-        raise CorenameError("config file must hold a JSON object")
+        raise CorenameError(f"{args.config}: config file must hold a JSON object")
+    options = {
+        action.dest: action
+        for action in args.actions
+        if action.dest not in ("help", "config")
+    }
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise CorenameError(f"config key {key!r} matches no option")
-        setattr(args, dest, value)
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise CorenameError(f"{args.config}: config key {key!r} matches no option")
+        problem = _config_problem(action, value)
+        if problem:
+            raise CorenameError(f"{args.config}: config key {key!r} {problem}")
+        setattr(args, action.dest, value)
 
 
 def _write_lines(path, render) -> None:
@@ -92,24 +124,14 @@ def _cmd_mine(args) -> int:
                     file=path,
                 )
                 for record in found:
-                    records.append(
-                        RenameRecord(
-                            commit=record.commit,
-                            kind=record.kind,
-                            old_name=record.old_name,
-                            new_name=record.new_name,
-                            file=record.file,
-                            container=record.container,
-                            index=len(records),
-                        )
-                    )
+                    records.append(replace(record, index=len(records)))
     _write_lines(args.out, lambda fp: serialize_rename_records(records, fp))
     print(f"wrote {len(records)} rename records to {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_group(args) -> int:
-    mode = _mode(args)
+    mode = args.mode
     records = load_rename_records_file(args.renames)
     chunked = attach_chunks(records, mode, _lemmatizer(args))
     collection = build_rename_sets(chunked, mode)
@@ -144,7 +166,7 @@ def _load_facts_dir(directory) -> dict[str, CodeFacts]:
 
 
 def _cmd_analyze(args) -> int:
-    mode = _mode(args)
+    mode = args.mode
     records = load_rename_records_file(args.renames)
     with open(args.sets, encoding="utf-8") as fh:
         collection = load_rename_sets(fh, records, mode, source=args.sets)
@@ -243,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; its values override flags")
+        p.set_defaults(actions=p._actions)
 
     mine = sub.add_parser("mine", help="collect rename records")
     mine.add_argument("--repo", help="version-control repository to walk")

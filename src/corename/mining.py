@@ -48,13 +48,15 @@ class RenameRecord:
         return tuple(dict.fromkeys(chunk_key(c) for c in self.chunks))
 
 
-def load_rename_records(stream: Iterable[str]) -> list[RenameRecord]:
+def load_rename_records(
+    stream: Iterable[str], source: str | None = None
+) -> list[RenameRecord]:
     """Parse line-delimited JSON rename records.
 
     Each line holds an object with keys commit, kind, old, new, file, and
-    optionally container.  Raises ParseError (with the offending line
-    number) for malformed lines and UnknownKind for kinds outside the
-    supported five.
+    optionally container.  Raises ParseError (naming ``source`` and the
+    offending line) for malformed lines and UnknownKind for kinds outside
+    the supported five.
     """
     records: list[RenameRecord] = []
     for number, raw in enumerate(stream, start=1):
@@ -64,22 +66,30 @@ def load_rename_records(stream: Iterable[str]) -> list[RenameRecord]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=number) from exc
+            raise ParseError(
+                f"invalid JSON: {exc.msg}", line=number, source=source
+            ) from exc
         if not isinstance(obj, dict):
-            raise ParseError("record is not an object", line=number)
+            raise ParseError("record is not an object", line=number, source=source)
         missing = {"commit", "kind", "old", "new"} - obj.keys()
         if missing:
             raise ParseError(
-                f"missing keys: {', '.join(sorted(missing))}", line=number
+                f"missing keys: {', '.join(sorted(missing))}",
+                line=number,
+                source=source,
             )
         try:
             kind = IdentifierKind(obj["kind"])
         except ValueError:
             raise UnknownKind(
-                f"unknown identifier kind: {obj['kind']!r}", line=number
+                f"unknown identifier kind: {obj['kind']!r}",
+                line=number,
+                source=source,
             ) from None
         if obj["old"] == obj["new"]:
-            raise ParseError("old and new names are identical", line=number)
+            raise ParseError(
+                "old and new names are identical", line=number, source=source
+            )
         records.append(
             RenameRecord(
                 commit=str(obj["commit"]),
@@ -115,7 +125,7 @@ def serialize_rename_records(records: Iterable[RenameRecord], fp) -> None:
 
 def load_rename_records_file(path) -> list[RenameRecord]:
     with open(path, encoding="utf-8") as fh:
-        return load_rename_records(fh)
+        return load_rename_records(fh, source=path)
 
 
 _KIND_FROM_ENTITY = {
@@ -188,7 +198,8 @@ def _git(repo: Path, *args: str) -> str:
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
+        errors="replace",
     )
     if proc.returncode != 0:
         raise RepoError(proc.stderr.strip() or f"git {' '.join(args)} failed")
@@ -199,7 +210,8 @@ def _show(repo: Path, commit: str, path: str) -> str | None:
     proc = subprocess.run(
         ["git", "-C", str(repo), "show", f"{commit}:{path}"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
+        errors="replace",
     )
     return proc.stdout if proc.returncode == 0 else None
 

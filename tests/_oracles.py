@@ -10,6 +10,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
+from corename.chunks import ChunkKind, OperationalChunk
+
 
 def lcs_length(a, b):
     """Textbook longest-common-subsequence DP over a full matrix."""
@@ -283,3 +285,147 @@ def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=No
             new_set_relationship_rates=new_rates,
         ),
     )
+
+
+def diff_lemmas_recursive(old, new):
+    """``diff_lemmas`` as the recursive run search it replaced: find the
+    leftmost longest common run, and when it overcommits, sort every run as
+    a candidate and re-run an LCS on the slices around each one."""
+    out = []
+    _diff_rec(tuple(old), tuple(new), 0, tuple(old), out)
+    return out
+
+
+def _lcs_len(a, b) -> int:
+    n = len(b)
+    if not a or not n:
+        return 0
+    if len(a) == 1:
+        return 1 if a[0] in b else 0
+    if n == 1:
+        return 1 if b[0] in a else 0
+    prev = [0] * (n + 1)
+    for ai in a:
+        cur = [0]
+        append = cur.append
+        best = 0
+        for j in range(n):
+            if ai == b[j]:
+                value = prev[j] + 1
+                if value > best:
+                    best = value
+            else:
+                value = prev[j + 1]
+                if best > value:
+                    value = best
+                else:
+                    best = value
+            append(value)
+        prev = cur
+    return prev[n]
+
+
+def _gap_chunk(deleted, added, anchor, old) -> OperationalChunk:
+    if deleted and added:
+        kind = ChunkKind.REPLACE
+    elif deleted:
+        kind = ChunkKind.DELETE
+    else:
+        kind = ChunkKind.INSERT
+    left = old[anchor - 1] if anchor > 0 else None
+    right_at = anchor + len(deleted)
+    right = old[right_at] if right_at < len(old) else None
+    return OperationalChunk(kind, tuple(deleted), tuple(added), anchor, left, right)
+
+
+def _split(a, b, offset, old, out, i, j, length, left_total, right_total):
+    """Match the run at (i, j) and resolve what surrounds it."""
+    if left_total == 0:
+        if i or j:
+            out.append(_gap_chunk(a[:i], b[:j], offset, old))
+    else:
+        _diff_rec(a[:i], b[:j], offset, old, out, left_total)
+    end_a, end_b = i + length, j + length
+    if right_total == 0:
+        if end_a < len(a) or end_b < len(b):
+            out.append(_gap_chunk(a[end_a:], b[end_b:], offset + end_a, old))
+    else:
+        _diff_rec(a[end_a:], b[end_b:], offset + end_a, old, out, right_total)
+
+
+def _diff_rec(a, b, offset, old, out, total=None) -> None:
+    if a == b:
+        return
+    if not a or not b:
+        out.append(_gap_chunk(a, b, offset, old))
+        return
+    m, n = len(a), len(b)
+    # run[i][j]: length of the common contiguous run starting at (i, j);
+    # the scan right-to-left, bottom-to-top resolves length ties to the
+    # smallest (i, j).
+    run = [None] * m
+    best_len = 0
+    best_i = best_j = 0
+    below = [0] * (n + 1)
+    for i in range(m - 1, -1, -1):
+        ai = a[i]
+        row = [0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            if ai == b[j]:
+                length = below[j + 1] + 1
+                row[j] = length
+                if length >= best_len:
+                    best_len = length
+                    best_i, best_j = i, j
+        run[i] = below = row
+    if best_len == 0:
+        out.append(_gap_chunk(a, b, offset, old))
+        return
+    if total is None:
+        if best_len == m or best_len == n:
+            total = best_len  # a full-side run is always a maximum alignment
+        else:
+            total = _lcs_len(a, b)
+    if best_len == total:
+        # The leftmost longest run accounts for every unchanged word, so
+        # whatever surrounds it is a plain gap on each side.
+        _split(a, b, offset, old, out, best_i, best_j, best_len, 0, 0)
+        return
+    # The longest run overcommits.  Try runs longest-first (leftmost on
+    # ties) and split at the first whose matching keeps the overall number
+    # of unchanged words maximal.
+    candidates = []
+    for i in range(m):
+        row = run[i]
+        for j in range(n):
+            if row[j]:
+                candidates.append((-row[j], i, j))
+    candidates.sort()
+    for neg_len, i, j in candidates:
+        length = -neg_len
+        need = total - length
+        cap_left = i if i < j else j
+        rem_a, rem_b = m - i - length, n - j - length
+        cap_right = rem_a if rem_a < rem_b else rem_b
+        if cap_left + cap_right < need:
+            continue
+        left = _lcs_len(a[:i], b[:j])
+        if left + cap_right < need:
+            continue
+        right = _lcs_len(a[i + length :], b[j + length :])
+        if left + right == need:
+            _split(a, b, offset, old, out, i, j, length, left, right)
+            return
+    # Defensive completeness: an optimal alignment's own runs are prefixes
+    # of text runs, so trying truncated runs as well always finds a split.
+    for length in range(best_len - 1, 0, -1):
+        for i in range(m):
+            row = run[i]
+            for j in range(n):
+                if row[j] > length:
+                    left = _lcs_len(a[:i], b[:j])
+                    right = _lcs_len(a[i + length :], b[j + length :])
+                    if left + length + right == total:
+                        _split(a, b, offset, old, out, i, j, length, left, right)
+                        return
+    raise AssertionError("no optimal common run found")  # pragma: no cover

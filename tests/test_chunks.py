@@ -1,11 +1,18 @@
 """Tests for operational-chunk extraction and application."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import enumerate_script_minimum, min_changed_words, random_pair
+from _oracles import (
+    canonical_pairs,
+    diff_lemmas_recursive,
+    enumerate_script_minimum,
+    min_changed_words,
+    random_pair,
+)
 from corename.chunks import (
     ChunkKind,
     OperationalChunk,
@@ -17,6 +24,9 @@ from corename.chunks import (
 )
 from corename.errors import DegenerateResult
 from corename.lexicon import normalize
+from corename.mining import load_rename_records_file
+
+CORPUS_RENAMES = Path(__file__).parent / "fixtures" / "corpus" / "renames.jsonl"
 
 
 def chunks_of(old, new, mode="lemma"):
@@ -152,6 +162,33 @@ class TestDiffProperties:
             a, b = random_pair(rng, 0, 8, "abcde")
             anchors = [c.anchor for c in diff_lemmas(a, b)]
             assert anchors == sorted(anchors)
+
+
+class TestSameChunksAsRecursiveDiffer:
+    """The table differ returns exactly the chunks of the recursive run
+    search it replaced: kinds, words, anchors and contexts."""
+
+    def test_canonical_pairs(self):
+        checked = 0
+        for a, b in canonical_pairs(5, 4):
+            assert diff_lemmas(a, b) == diff_lemmas_recursive(a, b), (a, b)
+            checked += 1
+        assert checked == 78_639
+
+    def test_random_long_pairs(self):
+        rng = random.Random(97)
+        for _ in range(10_000):
+            a, b = random_pair(rng, 7, 12, "abcdef")
+            assert diff_lemmas(a, b) == diff_lemmas_recursive(a, b), (a, b)
+
+    @pytest.mark.parametrize("mode", ["raw", "lemma"])
+    def test_corpus_renames(self, mode):
+        records = load_rename_records_file(CORPUS_RENAMES)
+        assert records
+        for r in records:
+            a = normalize(r.old_name, mode).lemmas
+            b = normalize(r.new_name, mode).lemmas
+            assert diff_lemmas(a, b) == diff_lemmas_recursive(a, b), (a, b)
 
 
 class TestApplyChunk:

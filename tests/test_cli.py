@@ -75,7 +75,7 @@ class TestExitCodes:
         bad.write_text('{"commit": "c"}\n{oops\n')
         rc = run(["group", "--renames", str(bad), "--out", str(tmp_path / "s")])
         assert rc == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"corename: error: {bad}: line 1: " in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         rc = run(
@@ -291,6 +291,15 @@ class TestConfigAndReport:
         payload = json.loads(capsys.readouterr().out)
         assert all(c["target"] != "GMetricType" for c in payload)
 
+    def test_config_list_and_flag_values(self, tmp_path, facts_dir):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"filter": ["Method"], "plots": False}))
+        from_config = analyze(tmp_path, facts_dir, "a", "--config", str(config))
+        from_flags = analyze(tmp_path, facts_dir, "b", "--filter", "Method")
+        assert (from_config / "report.json").read_bytes() == (
+            from_flags / "report.json"
+        ).read_bytes()
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"bogus_key": 1}))
@@ -437,6 +446,28 @@ class TestMalformedInputs:
         ]
         assert run(argv) == 2
         assert f"{table}: line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,settings,problem",
+        [
+            ("analyze", {"filter": ["Bogus"]}, "must be one of Class, Method"),
+            ("analyze", {"filter": "Method"}, "must be a list"),
+            ("analyze", {"plots": "no"}, "must be true or false"),
+            ("recommend", {"min_score": "x"}, 'must be a number, not "x"'),
+        ],
+    )
+    def test_config_value_types(self, tmp_path, capsys, command, settings, problem):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        if command == "analyze":
+            argv = self.analyze_argv(tmp_path, tmp_path / "sets.jsonl")
+        else:
+            argv = ["recommend", "--src", str(FIG1), "--old", "A", "--new", "B", "--kind", "Class"]
+        assert run([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        (key,) = settings
+        assert f"corename: error: {config}: config key {key!r} {problem}" in err
+        assert "Traceback" not in err
 
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"

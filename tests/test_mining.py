@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from corename.cli import run
 from corename.errors import ParseError, RepoError, UnknownKind
 from corename.facts import extract_facts
 from corename.mining import (
@@ -44,24 +45,29 @@ class TestLoadRenameRecords:
         assert r.index == 0
 
     def test_unknown_kind(self):
-        with pytest.raises(UnknownKind):
+        with pytest.raises(UnknownKind) as info:
             load_rename_records(
-                [line(commit="c", kind="Enum", old="A", new="B", file="f")]
+                [line(commit="c", kind="Enum", old="A", new="B", file="f")],
+                source="renames.jsonl",
             )
+        assert str(info.value).startswith("renames.jsonl: line 1: ")
 
     def test_empty_stream(self):
         assert load_rename_records([]) == []
 
     def test_malformed_line_number(self):
         with pytest.raises(ParseError) as info:
-            load_rename_records(["{\"commit\": \"c\"}", "{oops"])
+            load_rename_records(["{\"commit\": \"c\"}", "{oops"], source="r.jsonl")
         assert info.value.line == 1  # missing keys reported first
+        assert str(info.value) == "r.jsonl: line 1: missing keys: kind, new, old"
 
     def test_bad_json_line_number(self):
         good = line(commit="c", kind="Class", old="A", new="B", file="f")
         with pytest.raises(ParseError) as info:
-            load_rename_records([good, "{oops"])
+            load_rename_records([good, "{oops"], source="r.jsonl")
         assert info.value.line == 2
+        assert info.value.source == "r.jsonl"
+        assert str(info.value).startswith("r.jsonl: line 2: invalid JSON: ")
 
     def test_identical_names_rejected(self):
         with pytest.raises(ParseError):
@@ -228,6 +234,25 @@ class TestWalkHistory:
             "metricType",
             "metricAttribute",
         ) in got
+
+
+    def test_mine_latin1_source(self, repo, capsys):
+        # `facts` reads files as UTF-8 with replacement; `mine` decodes git
+        # output the same way instead of failing on the comment's byte.
+        source = "// caf\u00e9 au lait\nclass A { void %s() { } }\n"
+        (repo / "A.java").write_bytes((source % "foo").encode("latin-1"))
+        git(repo, "add", "A.java")
+        git(repo, "commit", "-qm", "one")
+        (repo / "A.java").write_bytes((source % "bar").encode("latin-1"))
+        git(repo, "add", "A.java")
+        git(repo, "commit", "-qm", "two")
+        out = repo / "mined.jsonl"  # untracked, so not mined
+        assert run(["mine", "--repo", str(repo), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [(r["kind"], r["old"], r["new"]) for r in records] == [
+            ("Method", "foo", "bar")
+        ]
 
 
 class TestMergeCommits:
