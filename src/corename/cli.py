@@ -109,14 +109,19 @@ def _write_lines(path, render) -> None:
 def _cmd_mine(args) -> int:
     if bool(args.repo) == bool(args.records):
         raise CorenameError("exactly one of --repo or --records is required")
+    work = None
     if args.records:
         records = load_rename_records_file(args.records)
     else:
         records: list[RenameRecord] = []
+        commits = compared = skipped = 0
         for commit in walk_history(args.repo):
+            commits += 1
             for path, before, after in commit.pairs:
                 if before is None or after is None:
+                    skipped += 1
                     continue
+                compared += 1
                 found = detect_renames(
                     extract_facts({path: before}),
                     extract_facts({path: after}),
@@ -125,8 +130,14 @@ def _cmd_mine(args) -> int:
                 )
                 for record in found:
                     records.append(replace(record, index=len(records)))
+        work = (
+            f"mined {commits} commits: {compared} file pairs compared, "
+            f"{skipped} added or deleted files skipped"
+        )
     _write_lines(args.out, lambda fp: serialize_rename_records(records, fp))
     print(f"wrote {len(records)} rename records to {args.out}", file=sys.stderr)
+    if work:
+        print(work, file=sys.stderr)
     return 0
 
 

@@ -9,11 +9,12 @@ within an unchanged container).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import subprocess
+import tempfile
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .chunks import OperationalChunk
@@ -194,26 +195,43 @@ class CommitFiles:
     pairs: tuple[tuple[str, str | None, str | None], ...]
 
 
-def _git(repo: Path, *args: str) -> str:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
-        capture_output=True,
-        encoding="utf-8",
-        errors="replace",
-    )
-    if proc.returncode != 0:
-        raise RepoError(proc.stderr.strip() or f"git {' '.join(args)} failed")
-    return proc.stdout
+# One streamed log for the whole walk: each commit is a NUL-led id, each
+# changed file a ``:<modes> <shas> <status>`` token and then its path token.
+_LOG = (
+    "log", "--reverse", "--format=%x00%H", "--raw", "-z", "--no-renames",
+    "--no-abbrev", "--root", "--diff-merges=first-parent", "--end-of-options",
+)
+_GITLINK = b"160000"
 
 
-def _show(repo: Path, commit: str, path: str) -> str | None:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), "show", f"{commit}:{path}"],
-        capture_output=True,
-        encoding="utf-8",
-        errors="replace",
-    )
-    return proc.stdout if proc.returncode == 0 else None
+def _log_commits(stream) -> Iterator[tuple[str, list[tuple[bytes, bytes]]]]:
+    """Yield each commit id of a ``_LOG`` stream with its ``(raw entry,
+    path)`` tokens, reading the stream in chunks as git writes it."""
+
+    def tokens() -> Iterator[bytes]:
+        tail = b""
+        for chunk in iter(lambda: stream.read1(1 << 16), b""):
+            *done, tail = (tail + chunk).split(b"\0")
+            yield from done
+        yield tail
+
+    commit, entries = None, []
+    stream_tokens = tokens()
+    for token in stream_tokens:
+        token = token.lstrip(b"\n")
+        if token.startswith(b":"):
+            entries.append((token, next(stream_tokens, b"")))
+        elif token:
+            if commit is not None:
+                yield commit, entries
+            commit, entries = token.decode("ascii"), []
+    if commit is not None:
+        yield commit, entries
+
+
+def _stderr(file) -> str:
+    file.seek(0)
+    return file.read().decode("utf-8", "replace").strip()
 
 
 def walk_history(
@@ -223,40 +241,79 @@ def walk_history(
 
     Merge commits are compared against their first parent; root commits
     against the empty tree.  Added and deleted files appear with None on
-    the missing side.
+    the missing side; submodule entries are skipped.  Paths are the
+    repository's own, unquoted, and file text is decoded as UTF-8 with
+    replacement and universal newlines.  The whole walk runs two git
+    processes: one ``git log`` and one ``git cat-file --batch``; both are
+    reaped when the walk ends or is closed early.
     """
-    repo = Path(repo)
-    _git(repo, "rev-parse", "--git-dir")
-    revs = _git(repo, "rev-list", "--reverse", rev_range).split()
-    for commit in revs:
-        parents = _git(repo, "log", "--format=%P", "-n", "1", commit).split()
-        if parents:
-            raw = _git(
-                repo, "diff-tree", "--no-renames", "--name-status", "-r",
-                parents[0], commit,
-            )
-        else:
-            raw = _git(
-                repo, "diff-tree", "--no-renames", "--name-status", "-r",
-                "--root", commit,
-            )
-            raw = "\n".join(raw.splitlines()[1:])  # drop echoed commit id
-        pairs = []
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            status, _, path = line.partition("\t")
-            if not path or not path.endswith(suffixes):
-                continue
-            old_text = _show(repo, parents[0], path) if parents else None
-            new_text = _show(repo, commit, path)
-            if status.startswith("A"):
-                old_text = None
-            elif status.startswith("D"):
-                new_text = None
-            pairs.append((path, old_text, new_text))
-        if pairs:
-            yield CommitFiles(commit=commit, pairs=tuple(pairs))
+    git = ["git", "-C", str(repo)]
+    with tempfile.TemporaryFile() as log_errors, \
+            tempfile.TemporaryFile() as cat_errors:
+        log = subprocess.Popen(
+            [*git, *_LOG, rev_range, "--"],
+            stdout=subprocess.PIPE,
+            stderr=log_errors,
+        )
+        cat = subprocess.Popen(
+            [*git, "cat-file", "--batch"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=cat_errors,
+        )
+
+        def blob(sha: bytes, commit: str, path: str) -> str:
+            try:
+                cat.stdin.write(sha + b"\n")
+                cat.stdin.flush()
+            except BrokenPipeError:
+                pass  # cat-file is gone; the empty reply below reports it
+            header = cat.stdout.readline().split()
+            if header[1:] == [b"missing"]:
+                raise RepoError(
+                    f"commit {commit}: cannot read {path}: "
+                    f"object {sha.decode()} is missing"
+                )
+            if len(header) != 3:
+                raise RepoError(
+                    _stderr(cat_errors) or "git cat-file --batch failed"
+                )
+            data = cat.stdout.read(int(header[2]) + 1)[:-1]
+            text = data.decode("utf-8", "replace")
+            return text.replace("\r\n", "\n").replace("\r", "\n")
+
+        try:
+            for commit, entries in _log_commits(log.stdout):
+                pairs = []
+                for entry, raw_path in entries:
+                    old_mode, new_mode, old_sha, new_sha, status = (
+                        entry[1:].split(b" ")
+                    )
+                    path = raw_path.decode("utf-8", "replace")
+                    if not path.endswith(suffixes) or _GITLINK in (
+                        old_mode, new_mode
+                    ):
+                        continue
+                    old_text = (
+                        None if status.startswith(b"A")
+                        else blob(old_sha, commit, path)
+                    )
+                    new_text = (
+                        None if status.startswith(b"D")
+                        else blob(new_sha, commit, path)
+                    )
+                    pairs.append((path, old_text, new_text))
+                if pairs:
+                    yield CommitFiles(commit=commit, pairs=tuple(pairs))
+            if log.wait() != 0:
+                raise RepoError(_stderr(log_errors) or "git log failed")
+        finally:
+            log.kill()  # a no-op once reaped; stops a walk closed early
+            with contextlib.suppress(BrokenPipeError):
+                cat.stdin.close()
+            for proc in (log, cat):
+                proc.stdout.close()
+                proc.wait()
 
 
 def with_chunks(record: RenameRecord, chunks) -> RenameRecord:

@@ -6,11 +6,15 @@ yardsticks the production diff is measured against.
 """
 
 import itertools
+import subprocess
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 
 from corename.chunks import ChunkKind, OperationalChunk
+from corename.errors import RepoError
+from corename.mining import CommitFiles
 
 
 def lcs_length(a, b):
@@ -429,3 +433,65 @@ def _diff_rec(a, b, offset, old, out, total=None) -> None:
                         _split(a, b, offset, old, out, i, j, length, left, right)
                         return
     raise AssertionError("no optimal common run found")  # pragma: no cover
+
+
+def walk_history_per_commit(
+    repo, rev_range: str = "HEAD", suffixes: tuple[str, ...] = (".java",)
+):
+    """``mining.walk_history`` as it was before the single log stream: one
+    ``log`` and one ``diff-tree`` per commit, and one ``git show`` per side
+    of each changed file."""
+    repo = Path(repo)
+    _git(repo, "rev-parse", "--git-dir")
+    revs = _git(repo, "rev-list", "--reverse", rev_range).split()
+    for commit in revs:
+        parents = _git(repo, "log", "--format=%P", "-n", "1", commit).split()
+        if parents:
+            raw = _git(
+                repo, "diff-tree", "--no-renames", "--name-status", "-r",
+                parents[0], commit,
+            )
+        else:
+            raw = _git(
+                repo, "diff-tree", "--no-renames", "--name-status", "-r",
+                "--root", commit,
+            )
+            raw = "\n".join(raw.splitlines()[1:])  # drop echoed commit id
+        pairs = []
+        for line in raw.splitlines():
+            if not line.strip():
+                continue
+            status, _, path = line.partition("\t")
+            if not path or not path.endswith(suffixes):
+                continue
+            old_text = _show(repo, parents[0], path) if parents else None
+            new_text = _show(repo, commit, path)
+            if status.startswith("A"):
+                old_text = None
+            elif status.startswith("D"):
+                new_text = None
+            pairs.append((path, old_text, new_text))
+        if pairs:
+            yield CommitFiles(commit=commit, pairs=tuple(pairs))
+
+
+def _git(repo: Path, *args: str) -> str:
+    proc = subprocess.run(
+        ["git", "-C", str(repo), *args],
+        capture_output=True,
+        encoding="utf-8",
+        errors="replace",
+    )
+    if proc.returncode != 0:
+        raise RepoError(proc.stderr.strip() or f"git {' '.join(args)} failed")
+    return proc.stdout
+
+
+def _show(repo: Path, commit: str, path: str) -> str | None:
+    proc = subprocess.run(
+        ["git", "-C", str(repo), "show", f"{commit}:{path}"],
+        capture_output=True,
+        encoding="utf-8",
+        errors="replace",
+    )
+    return proc.stdout if proc.returncode == 0 else None

@@ -91,6 +91,22 @@ class TestExitCodes:
         assert (out / "report.json").exists()
 
 
+def git(repo, *args):
+    subprocess.run(
+        ["git", "-C", str(repo), *args],
+        check=True,
+        capture_output=True,
+        env={
+            "GIT_AUTHOR_NAME": "t",
+            "GIT_AUTHOR_EMAIL": "t@e.c",
+            "GIT_COMMITTER_NAME": "t",
+            "GIT_COMMITTER_EMAIL": "t@e.c",
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+            "HOME": str(repo),
+        },
+    )
+
+
 class TestMine:
     def test_records_passthrough(self, tmp_path):
         out = tmp_path / "renames.jsonl"
@@ -103,29 +119,13 @@ class TestMine:
     def test_repo_mining(self, tmp_path):
         repo = tmp_path / "repo"
         repo.mkdir()
-
-        def git(*args):
-            subprocess.run(
-                ["git", "-C", str(repo), *args],
-                check=True,
-                capture_output=True,
-                env={
-                    "GIT_AUTHOR_NAME": "t",
-                    "GIT_AUTHOR_EMAIL": "t@e.c",
-                    "GIT_COMMITTER_NAME": "t",
-                    "GIT_COMMITTER_EMAIL": "t@e.c",
-                    "PATH": "/usr/bin:/bin:/usr/local/bin",
-                    "HOME": str(repo),
-                },
-            )
-
-        git("init", "-q")
+        git(repo, "init", "-q")
         (repo / "A.java").write_text("class Foo { int count; }")
-        git("add", "A.java")
-        git("commit", "-qm", "one")
+        git(repo, "add", "A.java")
+        git(repo, "commit", "-qm", "one")
         (repo / "A.java").write_text("class Foo { int total; }")
-        git("add", "A.java")
-        git("commit", "-qm", "two")
+        git(repo, "add", "A.java")
+        git(repo, "commit", "-qm", "two")
         out = tmp_path / "mined.jsonl"
         rc = run(["mine", "--repo", str(repo), "--out", str(out)])
         assert rc == 0
@@ -133,6 +133,31 @@ class TestMine:
         assert [(r["kind"], r["old"], r["new"]) for r in records] == [
             ("Attribute", "count", "total")
         ]
+
+    def test_repo_work_counters(self, tmp_path, capsys):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        git(repo, "init", "-q")
+        (repo / "A.java").write_text("class Foo { int count; }")
+        (repo / "B.java").write_text("class Bar { }")
+        git(repo, "add", "-A")
+        git(repo, "commit", "-qm", "add two")
+        (repo / "A.java").write_text("class Foo { int total; }")
+        git(repo, "add", "-A")
+        git(repo, "commit", "-qm", "modify one")
+        (repo / "A.java").write_text("class Foo { int sum; }")
+        (repo / "B.java").unlink()
+        git(repo, "add", "-A")
+        git(repo, "commit", "-qm", "modify one, delete one")
+        out = tmp_path / "mined.jsonl"
+        assert run(["mine", "--repo", str(repo), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"wrote 2 rename records to {out}",
+            "mined 3 commits: 2 file pairs compared, "
+            "3 added or deleted files skipped",
+        ]
+        run(["mine", "--records", str(out), "--out", str(tmp_path / "r.jsonl")])
+        assert "mined" not in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -1,11 +1,17 @@
 """Tests for rename-record ingestion, the naive detector, and history walking."""
 
+import gc
 import io
 import json
+import os
+import random
 import subprocess
+import warnings
 
 import pytest
+from _oracles import walk_history_per_commit
 
+import corename.mining
 from corename.cli import run
 from corename.errors import ParseError, RepoError, UnknownKind
 from corename.facts import extract_facts
@@ -273,3 +279,171 @@ class TestMergeCommits:
         (path, before, after), = merge.pairs
         assert before == "class Foo { int a; }"
         assert after == "class Foo { int b; }"
+
+
+def commit_all(repo, message, *flags):
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", *flags, "-m", message)
+
+
+def scripted_history(repo):
+    """A history with every kind of change the walk must report: a root
+    commit, modifications, an add and a delete together, a non-source
+    change, an empty commit, a file turned into a symlink, seeded random
+    edits, a merge whose parents both changed sources, and line endings
+    that text decoding folds."""
+    (repo / "A.java").write_text("class A { int a; }\n")
+    (repo / "B.java").write_text("class B { void b() { } }\n")
+    (repo / "Link.java").write_text("class Link { }\n")
+    (repo / "notes.txt").write_text("notes\n")
+    commit_all(repo, "root")
+    (repo / "A.java").write_text("class A { int count; }\n")
+    (repo / "B.java").write_text("class B { void run() { } }\n")
+    commit_all(repo, "modify")
+    (repo / "C.java").write_bytes(b"class C {\r\n int c;\r }\r\n")
+    (repo / "B.java").unlink()
+    commit_all(repo, "add and delete")
+    (repo / "notes.txt").write_text("more notes\n")
+    commit_all(repo, "non-source")
+    commit_all(repo, "empty", "--allow-empty")
+    (repo / "Link.java").unlink()
+    os.symlink("A.java", repo / "Link.java")
+    commit_all(repo, "typechange")
+    rng = random.Random(4)
+    words = ["size", "total", "name", "value", "item", "entry"]
+    for i in range(20):
+        target = rng.choice(["A", "C", "D"])
+        (repo / f"{target}.java").write_text(
+            f"class {target} {{ int {rng.choice(words)}{i}; "
+            f"void {rng.choice(words)}() {{ }} }}\n"
+        )
+        commit_all(repo, f"edit {i}")
+    git(repo, "checkout", "-q", "-b", "side")
+    (repo / "A.java").write_text("class A { int side; }\n")
+    commit_all(repo, "side edit")
+    git(repo, "checkout", "-q", "-")
+    (repo / "C.java").write_text("class C { int main; }\n")
+    commit_all(repo, "main edit")
+    git(repo, "merge", "-q", "--no-ff", "-m", "merge", "side")
+    (repo / "D.java").write_text("class D { int last; }\n")
+    commit_all(repo, "after merge")
+
+
+class TestSameAsPerCommitWalk:
+    @pytest.mark.parametrize("rev_range", ["HEAD", "HEAD~3..HEAD"])
+    def test_scripted_history(self, repo, rev_range):
+        scripted_history(repo)
+        got = list(walk_history(repo, rev_range))
+        assert got == list(walk_history_per_commit(repo, rev_range))
+        missing_sides = {
+            (before is None, after is None)
+            for commit in got for _, before, after in commit.pairs
+        }
+        if rev_range == "HEAD":  # adds, deletes and modifications all occur
+            assert missing_sides == {(True, False), (False, True), (False, False)}
+
+
+class GitCounter:
+    """Stands in for ``subprocess`` in corename.mining and records every
+    git process started through ``run`` or ``Popen``."""
+
+    def __init__(self):
+        self.runs = []
+        self.popens = []
+
+    def __getattr__(self, attr):
+        return getattr(subprocess, attr)
+
+    def run(self, args, *rest, **kwargs):
+        if args[0] == "git":
+            self.runs.append(args)
+        return subprocess.run(args, *rest, **kwargs)
+
+    def Popen(self, args, *rest, **kwargs):
+        proc = subprocess.Popen(args, *rest, **kwargs)
+        if args[0] == "git":
+            self.popens.append(proc)
+        return proc
+
+
+@pytest.fixture
+def git_counter(monkeypatch):
+    counter = GitCounter()
+    monkeypatch.setattr(corename.mining, "subprocess", counter)
+    return counter
+
+
+def edit_history(repo, commits):
+    for i in range(commits):
+        (repo / "A.java").write_text(f"class A {{ int a{i}; }}\n")
+        (repo / f"F{i}.java").write_text(f"class F{i} {{ }}\n")
+        commit_all(repo, f"edit {i}")
+
+
+class TestGitProcesses:
+    @pytest.mark.parametrize("commits", [5, 15])
+    def test_two_processes_per_walk(self, repo, git_counter, commits):
+        edit_history(repo, commits)
+        assert len(list(walk_history(repo))) == commits
+        assert git_counter.runs == []
+        assert len(git_counter.popens) == 2
+        assert all(proc.returncode == 0 for proc in git_counter.popens)
+
+    def test_early_close_reaps_both(self, repo, git_counter):
+        edit_history(repo, 5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            walk = walk_history(repo)
+            next(walk)
+            walk.close()
+            del walk
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len(git_counter.popens) == 2
+        assert all(proc.returncode is not None for proc in git_counter.popens)
+
+
+class TestUnusualPaths:
+    def test_non_ascii_and_space_paths_mined(self, repo, capsys):
+        names = ["Caf\u00e9.java", "My File.java"]
+        for name in names:
+            (repo / name).write_text("class A { void foo() { } }\n")
+        commit_all(repo, "one")
+        for name in names:
+            (repo / name).write_text("class A { void bar() { } }\n")
+        commit_all(repo, "two")
+        assert [path for path, _, _ in list(walk_history(repo))[1].pairs] == names
+        out = repo / "mined.jsonl"  # untracked, so not mined
+        assert run(["mine", "--repo", str(repo), "--out", str(out)]) == 0
+        records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        assert [(r["file"], r["old"], r["new"]) for r in records] == [
+            (name, "foo", "bar") for name in names
+        ]
+
+    def test_missing_blob_exits_2(self, repo, capsys):
+        (repo / "A.java").write_text("class A { int a; }\n")
+        commit_all(repo, "one")
+        (repo / "A.java").write_text("class A { int b; }\n")
+        commit_all(repo, "two")
+        sha = subprocess.run(
+            ["git", "-C", str(repo), "rev-parse", "HEAD~1:A.java"],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        (repo / ".git" / "objects" / sha[:2] / sha[2:]).unlink()
+        out = repo / "mined.jsonl"
+        assert run(["mine", "--repo", str(repo), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "A.java" in err and sha in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_submodule_entry_skipped(self, repo):
+        (repo / "A.java").write_text("class A { }\n")
+        commit_all(repo, "one")
+        sha = subprocess.run(
+            ["git", "-C", str(repo), "rev-parse", "HEAD"],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        git(repo, "update-index", "--add", "--cacheinfo", f"160000,{sha},Sub.java")
+        git(repo, "commit", "-qm", "gitlink")
+        assert len(list(walk_history(repo))) == 1
