@@ -6,7 +6,9 @@ local variable declarations, assignments, method invocations with
 arguments, and field accesses.  Generic types contribute their outer name
 plus first-level type arguments.  Lambdas, anonymous class bodies,
 annotations, and deeper generic nesting are skipped in place; files that
-cannot be tokenized at all are skipped with a diagnostic.
+cannot be tokenized at all are skipped with a diagnostic.  A field or a
+bodiless method missing its ``;`` ends at the enclosing ``}``, so the
+class closes there and the members and classes after it are still read.
 
 Matching elsewhere is by name text, so the tables store entity ids for
 declarations and bare strings for references.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import re
+import string
 from pathlib import Path
 
 from .model import CodeFacts, Entity, EntityKind
@@ -57,9 +60,135 @@ MODIFIERS = frozenset(
 
 ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>= >>>=".split())
 
+_NAME_START = frozenset(string.ascii_letters + "_$")
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
+# first characters of the tokens allowed in a type argument list, at its
+# top level and nested deeper, and in the type of a `new` expression
+_TYPE_ARG_RE = re.compile(r"[A-Za-z_$.\[\]]")
+_NESTED_TYPE_ARG_RE = re.compile(r"[A-Za-z_$.,?\[\]<>]")
+_NEW_TYPE_RE = re.compile(r"[A-Za-z_$.<>,\[\]]")
+
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(_CLEAN_RE.sub(" __lit__ ", text))
+
+
+# --- token scanners --------------------------------------------------------
+
+
+def _is_name(t: str) -> bool:
+    """An identifier token that is not a keyword."""
+    return t[0] in _NAME_START and t not in KEYWORDS
+
+
+def _skip_balanced(toks, i: int, open_tok: str, close_tok: str) -> int:
+    """toks[i] is open_tok; returns the index just past its match, or
+    len(toks) when it has none."""
+    depth = 0
+    for j in range(i, len(toks)):
+        t = toks[j]
+        if t == open_tok:
+            depth += 1
+        elif t == close_tok:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return len(toks)
+
+
+def _expression_end(toks, i: int, stops) -> int:
+    """Index of the first token from i on that is a stop token outside
+    brackets or a closing bracket without its opener; len(toks) if none."""
+    depth = 0
+    for j in range(i, len(toks)):
+        t = toks[j]
+        if t in _OPENERS:
+            depth += 1
+        elif t in _CLOSERS:
+            if depth == 0:
+                return j
+            depth -= 1
+        elif depth == 0 and t in stops:
+            return j
+    return len(toks)
+
+
+def _parse_type_ref(toks, i: int):
+    """Parse a type occurrence at toks[i]; returns (next index, outer, args)
+    or None.
+
+    ``outer`` is the final segment of the dotted head; ``args`` are the
+    outer names of first-level type arguments.  Aborts (None) on
+    anything that cannot be type syntax, so callers can fall back to
+    expression handling.
+    """
+    n = len(toks)
+    if i >= n:
+        return None
+    outer = toks[i]
+    if outer not in PRIMITIVES:
+        if not _is_name(outer):
+            return None
+        while i + 2 < n and toks[i + 1] == "." and _is_name(toks[i + 2]):
+            i += 2
+            outer = toks[i]
+    i += 1
+    args: list[str] = []
+    if i < n and toks[i] == "<":
+        i += 1
+        expect_arg = True
+        while i < n and toks[i] != ">":
+            t = toks[i]
+            if t == "<":
+                # nested generic depth > 1: names there are ignored
+                end = _skip_balanced(toks, i, "<", ">")
+                if not all(
+                    _NESTED_TYPE_ARG_RE.match(u) or u in ("extends", "super")
+                    for u in toks[i:end]
+                ):
+                    return None
+                i = end
+                continue
+            if t == ",":
+                expect_arg = True
+            elif expect_arg and _is_name(t):
+                k = i
+                while k + 2 < n and toks[k + 1] == "." and toks[k + 2][0] in _NAME_START:
+                    k += 2
+                args.append(toks[k])
+                expect_arg = False
+            elif t not in ("?", "extends", "super") and not _TYPE_ARG_RE.match(t):
+                return None  # expression, not a generic type
+            i += 1
+        if i >= n:
+            return None
+        i += 1
+    while i + 1 < n and toks[i] == "[" and toks[i + 1] == "]":
+        i += 2
+    return i, outer, args
+
+
+def _strip_anonymous_bodies(body):
+    """Drop `new T(...) { ... }` class bodies from the token stream."""
+    out = []
+    i = 0
+    n = len(body)
+    while i < n:
+        t = body[i]
+        out.append(t)
+        if t == "new":
+            j = i + 1
+            while j < n and body[j] != "new" and _NEW_TYPE_RE.match(body[j]):
+                j += 1
+            if j < n and body[j] == "(":
+                j = _skip_balanced(body, j, "(", ")")
+                if j < n and body[j] == "{":
+                    out.extend(body[i + 1 : j])
+                    i = _skip_balanced(body, j, "{", "}")
+                    continue
+        i += 1
+    return out
 
 
 class _Builder:
@@ -74,6 +203,8 @@ class _Builder:
         self.accesses: list[tuple[int, str]] = []
         self.assigns: list[tuple[str, str, str]] = []
         self.skipped: list[tuple[str, str]] = []
+        # class id -> names of its attributes
+        self.attributes: dict[int, set[str]] = {}
         # method id -> ordered formal parameter names (for passes resolution)
         self.method_params: dict[int, list[str]] = {}
         # (callee name, [(position, actual name, form)], arity)
@@ -84,6 +215,8 @@ class _Builder:
         self.entities.append(Entity(eid, kind, name, container, file))
         if container is not None:
             self.contains.append((container, eid))
+        if kind is EntityKind.ATTRIBUTE:
+            self.attributes.setdefault(container, set()).add(name)
         return eid
 
     def finish(self) -> CodeFacts:
@@ -124,108 +257,17 @@ class _FileParser:
         self.n = len(tokens)
         self.b = builder
 
-    # --- token helpers -------------------------------------------------
-
-    def _skip_balanced(self, i: int, open_tok: str, close_tok: str) -> int:
-        """i points at open_tok; returns index just past its match."""
-        depth = 0
-        while i < self.n:
-            t = self.toks[i]
-            if t == open_tok:
-                depth += 1
-            elif t == close_tok:
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-            i += 1
-        return self.n
-
     def _skip_annotation(self, i: int) -> int:
         i += 1  # '@'
-        while i < self.n and (
-            self.toks[i] not in KEYWORDS and re.match(r"[A-Za-z_$]", self.toks[i])
-        ):
+        while i < self.n and _is_name(self.toks[i]):
             i += 1
             if i < self.n and self.toks[i] == ".":
                 i += 1
-                continue
-            break
-        if i < self.n and self.toks[i] == "(":
-            i = self._skip_balanced(i, "(", ")")
-        return i
-
-    def _parse_type_ref(self, i: int):
-        """Parse a type occurrence; returns (next index, outer, args) or None.
-
-        ``outer`` is the final segment of the dotted head; ``args`` are the
-        outer names of first-level type arguments.  Aborts (None) on
-        anything that cannot be type syntax, so callers can fall back to
-        expression handling.
-        """
-        toks = self.toks
-        if i >= self.n:
-            return None
-        head = toks[i]
-        if head in PRIMITIVES:
-            outer = head
-            i += 1
-        elif head not in KEYWORDS and re.match(r"[A-Za-z_$]", head):
-            outer = head
-            i += 1
-            while i + 1 < self.n and toks[i] == "." and re.match(
-                r"[A-Za-z_$]", toks[i + 1]
-            ) and toks[i + 1] not in KEYWORDS:
-                outer = toks[i + 1]
-                i += 2
-        else:
-            return None
-        args: list[str] = []
-        if i < self.n and toks[i] == "<":
-            depth = 0
-            j = i
-            expect_arg = True
-            while j < self.n:
-                t = toks[j]
-                if t == "<":
-                    depth += 1
-                elif t == ">":
-                    depth -= 1
-                    if depth == 0:
-                        j += 1
-                        break
-                elif depth == 1:
-                    if t == ",":
-                        expect_arg = True
-                    elif expect_arg and t not in KEYWORDS and re.match(
-                        r"[A-Za-z_$]", t
-                    ):
-                        name = t
-                        k = j
-                        while k + 2 < self.n and toks[k + 1] == "." and re.match(
-                            r"[A-Za-z_$]", toks[k + 2]
-                        ):
-                            name = toks[k + 2]
-                            k += 2
-                        args.append(name)
-                        expect_arg = False
-                    elif t in ("?", "extends", "super"):
-                        pass
-                    elif not re.match(r"[A-Za-z_$.\[\]]", t):
-                        return None  # expression, not a generic type
-                elif depth >= 2:
-                    # nested generic depth > 1: names there are ignored
-                    if not re.match(r"[A-Za-z_$.,?\[\]<>]", t) and t not in (
-                        "extends",
-                        "super",
-                    ):
-                        return None
-                j += 1
             else:
-                return None
-            i = j
-        while i + 1 < self.n and toks[i] == "[" and toks[i + 1] == "]":
-            i += 2
-        return i, outer, args
+                break
+        if i < self.n and self.toks[i] == "(":
+            i = _skip_balanced(self.toks, i, "(", ")")
+        return i
 
     # --- declarations ---------------------------------------------------
 
@@ -252,7 +294,7 @@ class _FileParser:
         while i < self.n and self.toks[i] != "{":
             i += 1
         if i < self.n:
-            i = self._skip_balanced(i, "{", "}")
+            i = _skip_balanced(self.toks, i, "{", "}")
         return i
 
     def _parse_type_decl(self, i: int, container: int | None) -> int:
@@ -265,15 +307,15 @@ class _FileParser:
         kind = EntityKind.CLASS if kw == "class" else EntityKind.INTERFACE
         eid = self.b.add_entity(kind, name, container, self.file)
         if i < self.n and self.toks[i] == "<":
-            i = self._skip_balanced(i, "<", ">")
+            i = _skip_balanced(self.toks, i, "<", ">")
         if i < self.n and self.toks[i] == "extends":
-            ref = self._parse_type_ref(i + 1)
+            ref = _parse_type_ref(self.toks, i + 1)
             if ref:
                 i, outer, _args = ref
                 if kind is EntityKind.CLASS:
                     self.b.extends.append((eid, outer))
                 while i < self.n and self.toks[i] == ",":  # interface extends list
-                    ref = self._parse_type_ref(i + 1)
+                    ref = _parse_type_ref(self.toks, i + 1)
                     if not ref:
                         break
                     i, _outer, _args = ref
@@ -282,7 +324,7 @@ class _FileParser:
         if i < self.n and self.toks[i] == "implements":
             i += 1
             while i < self.n:
-                ref = self._parse_type_ref(i)
+                ref = _parse_type_ref(self.toks, i)
                 if not ref:
                     break
                 i, outer, _args = ref
@@ -295,9 +337,9 @@ class _FileParser:
             i += 1
         if i >= self.n:
             return i
-        return self._parse_type_body(i, eid, name)
+        return self._parse_type_body(i, eid)
 
-    def _parse_type_body(self, i: int, class_id: int, class_name: str) -> int:
+    def _parse_type_body(self, i: int, class_id: int) -> int:
         i += 1  # '{'
         pending_bodies: list[tuple[int, list[str]]] = []
         pending_inits: list[tuple[str, list[str]]] = []
@@ -317,184 +359,109 @@ class _FileParser:
             elif t == "enum":
                 i = self._skip_enum(i)
             elif t == "{":
-                i = self._skip_balanced(i, "{", "}")  # initializer block
+                i = _skip_balanced(self.toks, i, "{", "}")  # initializer block
             elif t == "<":
-                i = self._skip_balanced(i, "<", ">")  # generic method type params
+                i = _skip_balanced(self.toks, i, "<", ">")  # generic method type params
             else:
-                i = self._parse_member(
-                    i, class_id, class_name, pending_bodies, pending_inits
-                )
+                i = self._parse_member(i, class_id, pending_bodies, pending_inits)
         # Attribute names are complete only now; resolve deferred work.
-        attrs = self._attribute_names(class_id)
+        attrs = self.b.attributes.get(class_id, frozenset())
         for field_name, init in pending_inits:
             self._record_assigns(field_name, init, attrs, set(), set())
         for method_id, body in pending_bodies:
-            self._analyze_body(method_id, body, class_id, attrs)
+            self._analyze_body(method_id, body, attrs)
         return i
 
-    def _attribute_names(self, class_id: int) -> frozenset[str]:
-        return frozenset(
-            e.name
-            for e in self.b.entities
-            if e.container == class_id and e.kind is EntityKind.ATTRIBUTE
-        )
-
-    def _parse_member(self, i, class_id, class_name, pending_bodies, pending_inits):
-        ref = self._parse_type_ref(i)
+    def _parse_member(self, i, class_id, pending_bodies, pending_inits):
+        ref = _parse_type_ref(self.toks, i)
         if ref is None:
             return i + 1
         j, outer, args = ref
         if j < self.n and self.toks[j] == "(" and outer == self.toks[i]:
             # constructor: no return type, name equals the head token
-            return self._parse_method(
-                i, j, class_id, None, (), pending_bodies, constructor=True
-            )
-        if j >= self.n or self.toks[j] in KEYWORDS or not re.match(
-            r"[A-Za-z_$]", self.toks[j]
-        ):
-            return j if j > i else i + 1
-        name_at = j
+            return self._parse_method(i, j, class_id, None, (), pending_bodies)
+        if j >= self.n or not _is_name(self.toks[j]):
+            return j
         after = j + 1
         if after < self.n and self.toks[after] == "(":
-            return self._parse_method(
-                name_at, after, class_id, outer, tuple(args), pending_bodies
-            )
-        if after < self.n and (self.toks[after] in (";", "=", ",")):
-            return self._parse_field(
-                i, name_at, class_id, outer, tuple(args), pending_inits
-            )
+            return self._parse_method(j, after, class_id, outer, args, pending_bodies)
+        if after < self.n and self.toks[after] in (";", "=", ","):
+            return self._parse_field(j, class_id, outer, args, pending_inits)
         return after
 
     def _parse_method(self, name_at, paren_at, class_id, ret_outer, ret_args,
-                      pending_bodies, constructor=False):
-        name = self.toks[name_at]
-        mid = self.b.add_entity(EntityKind.METHOD, name, class_id, self.file)
-        if not constructor and ret_outer not in (None, "void"):
-            self.b.returns.append((mid, ret_outer))
-            for a in ret_args:
-                self.b.returns.append((mid, a))
+                      pending_bodies):
+        toks = self.toks
+        mid = self.b.add_entity(EntityKind.METHOD, toks[name_at], class_id, self.file)
+        if ret_outer not in (None, "void"):
+            self.b.returns.extend((mid, t) for t in (ret_outer, *ret_args))
         i = paren_at + 1
         params: list[str] = []
-        while i < self.n and self.toks[i] != ")":
-            if self.toks[i] == "@":
+        while i < self.n and toks[i] != ")":
+            if toks[i] == "@":
                 i = self._skip_annotation(i)
                 continue
-            if self.toks[i] in ("final", ","):
+            if toks[i] in ("final", ","):
                 i += 1
                 continue
-            ref = self._parse_type_ref(i)
+            ref = _parse_type_ref(toks, i)
             if ref is None:
                 i += 1
                 continue
             i, outer, args = ref
-            if i < self.n and self.toks[i] == "." and self.toks[i + 1 : i + 3] == [".", "."]:
+            if toks[i : i + 3] == [".", ".", "."]:
                 i += 3  # varargs ellipsis
-            if i < self.n and re.match(r"[A-Za-z_$]", self.toks[i]) and self.toks[
-                i
-            ] not in KEYWORDS:
-                pid = self.b.add_entity(
-                    EntityKind.PARAMETER, self.toks[i], mid, self.file
-                )
-                self.b.typed.append((pid, outer))
-                for a in args:
-                    self.b.typed.append((pid, a))
-                params.append(self.toks[i])
+            if i < self.n and _is_name(toks[i]):
+                pid = self.b.add_entity(EntityKind.PARAMETER, toks[i], mid, self.file)
+                self.b.typed.extend((pid, t) for t in (outer, *args))
+                params.append(toks[i])
                 i += 1
         self.b.method_params[mid] = params
         i += 1  # ')'
-        while i < self.n and self.toks[i] not in ("{", ";"):
+        while i < self.n and toks[i] not in ("{", ";", "}"):
             i += 1
-        if i < self.n and self.toks[i] == "{":
-            end = self._skip_balanced(i, "{", "}")
-            body = self.toks[i + 1 : end - 1]
+        if i < self.n and toks[i] == "{":
+            end = _skip_balanced(toks, i, "{", "}")
             # stash for analysis once the class's attributes are all known
-            pending_bodies.append((mid, body))
+            pending_bodies.append((mid, toks[i + 1 : end - 1]))
             return end
+        if i < self.n and toks[i] == "}":
+            return i  # missing ';': the class's '}' ends the member
         return i + 1
 
-    def _parse_field(self, type_at, name_at, class_id, outer, args, pending_inits):
-        i = name_at
+    def _parse_field(self, i, class_id, outer, args, pending_inits):
+        toks = self.toks
         while i < self.n:
-            name = self.toks[i]
+            name = toks[i]
             fid = self.b.add_entity(EntityKind.ATTRIBUTE, name, class_id, self.file)
-            self.b.typed.append((fid, outer))
-            for a in args:
-                self.b.typed.append((fid, a))
+            self.b.typed.extend((fid, t) for t in (outer, *args))
             i += 1
-            if i < self.n and self.toks[i] == "=":
-                start = i + 1
-                depth = 0
-                while i < self.n:
-                    t = self.toks[i]
-                    if t in "([{":
-                        depth += 1
-                    elif t in ")]}":
-                        depth -= 1
-                    elif depth == 0 and t in (",", ";"):
-                        break
-                    i += 1
-                pending_inits.append((name, self.toks[start:i]))
-            if i < self.n and self.toks[i] == ",":
+            if i < self.n and toks[i] == "=":
+                end = _expression_end(toks, i + 1, (",", ";"))
+                pending_inits.append((name, toks[i + 1 : end]))
+                i = end
+                if i < self.n and toks[i] in _CLOSERS:
+                    return i  # missing ';': the class's '}' ends the member
+            if i < self.n and toks[i] == ",":
                 i += 1
-                continue
-            break
-        while i < self.n and self.toks[i] != ";":
+            else:
+                break
+        while i < self.n and toks[i] != ";":
             i += 1
         return i + 1
 
     # --- method bodies ---------------------------------------------------
 
-    def _analyze_body(self, method_id, body, class_id, attrs):
+    def _analyze_body(self, method_id, body, attrs):
         method_name = self.b.entities[method_id].name
         params = set(self.b.method_params.get(method_id, ()))
-        body = self._strip_anonymous_bodies(body)
+        body = _strip_anonymous_bodies(body)
         locals_: set[str] = set()
         self._scan_declarations(body, method_id, params, locals_, attrs)
         self._scan_calls(body, method_id, method_name, params, locals_, attrs)
         for t in body:
             if t in attrs and t not in KEYWORDS:
                 self.b.accesses.append((method_id, t))
-
-    def _strip_anonymous_bodies(self, body):
-        """Drop `new T(...) { ... }` class bodies from the token stream."""
-        out = []
-        i = 0
-        n = len(body)
-        while i < n:
-            t = body[i]
-            out.append(t)
-            if t == "new":
-                j = i + 1
-                while j < n and (
-                    re.match(r"[A-Za-z_$.<>,\[\]]", body[j]) and body[j] != "new"
-                ):
-                    j += 1
-                if j < n and body[j] == "(":
-                    depth = 0
-                    while j < n:
-                        if body[j] == "(":
-                            depth += 1
-                        elif body[j] == ")":
-                            depth -= 1
-                            if depth == 0:
-                                break
-                        j += 1
-                    if j + 1 < n and body[j + 1] == "{":
-                        out.extend(body[i + 1 : j + 1])
-                        depth = 0
-                        j += 1
-                        while j < n:
-                            if body[j] == "{":
-                                depth += 1
-                            elif body[j] == "}":
-                                depth -= 1
-                                if depth == 0:
-                                    break
-                            j += 1
-                        i = j + 1
-                        continue
-            i += 1
-        return out
 
     def _scan_declarations(self, body, method_id, params, locals_, attrs):
         n = len(body)
@@ -509,117 +476,59 @@ class _FileParser:
             if at_start and t == "final":
                 i += 1
                 continue
-            if at_start and t == "this":
-                assign = self._try_assignment(body, i, params, locals_, attrs)
-                if assign is not None:
-                    i = assign
-                    at_start = True
-                    continue
-            if at_start and (t in PRIMITIVES or (t not in KEYWORDS and re.match(r"[A-Za-z_$]", t))):
-                decl = self._try_declaration(body, i, method_id, params, locals_, attrs)
-                if decl is not None:
-                    i = decl
-                    at_start = True
-                    continue
-                assign = self._try_assignment(body, i, params, locals_, attrs)
-                if assign is not None:
-                    i = assign
-                    at_start = True
+            if at_start and (t == "this" or t in PRIMITIVES or _is_name(t)):
+                end = None
+                if t != "this":
+                    end = self._try_declaration(body, i, method_id, params, locals_, attrs)
+                if end is None:
+                    end = self._try_assignment(body, i, params, locals_, attrs)
+                if end is not None:
+                    i = end
                     continue
             at_start = False
             i += 1
-        return locals_
 
     def _try_declaration(self, body, i, method_id, params, locals_, attrs):
-        ref = self._parse_tokens_type_ref(body, i)
+        ref = _parse_type_ref(body, i)
         if ref is None:
             return None
         j, outer, args = ref
-        if j >= len(body) or body[j] in KEYWORDS or not re.match(r"[A-Za-z_$]", body[j]):
-            return None
-        if j + 1 >= len(body) or body[j + 1] not in ("=", ";", ",", ":"):
+        n = len(body)
+        if j + 1 >= n or not _is_name(body[j]) or body[j + 1] not in ("=", ";", ",", ":"):
             return None
         while True:
             name = body[j]
             vid = self.b.add_entity(EntityKind.VARIABLE, name, method_id, self.file)
-            self.b.typed.append((vid, outer))
-            for a in args:
-                self.b.typed.append((vid, a))
+            self.b.typed.extend((vid, t) for t in (outer, *args))
             locals_.add(name)
             j += 1
-            if j < len(body) and body[j] == "=":
-                start = j + 1
-                depth = 0
-                while j < len(body):
-                    t = body[j]
-                    if t in "([{":
-                        depth += 1
-                    elif t in ")]}":
-                        if depth == 0:
-                            break
-                        depth -= 1
-                    elif depth == 0 and t in (",", ";", ":"):
-                        break
-                    j += 1
-                self._record_assigns(name, body[start:j], attrs, params, locals_)
-            if j < len(body) and body[j] == "," and j + 1 < len(body) and re.match(
-                r"[A-Za-z_$]", body[j + 1]
-            ):
+            if j < n and body[j] == "=":
+                end = _expression_end(body, j + 1, (",", ";", ":"))
+                self._record_assigns(name, body[j + 1 : end], attrs, params, locals_)
+                j = end
+            if j + 1 < n and body[j] == "," and body[j + 1][0] in _NAME_START:
                 j += 1
-                continue
-            break
-        return j
-
-    def _parse_tokens_type_ref(self, body, i):
-        saved_toks, saved_n = self.toks, self.n
-        self.toks, self.n = body, len(body)
-        try:
-            return self._parse_type_ref(i)
-        finally:
-            self.toks, self.n = saved_toks, saved_n
+            else:
+                return j
 
     def _try_assignment(self, body, i, params, locals_, attrs):
         n = len(body)
-        j = i
-        if body[j] == "this" and j + 1 < n and body[j + 1] == ".":
-            j += 2
+        j = i + 2 if body[i] == "this" and i + 1 < n and body[i + 1] == "." else i
         name = None
-        while j < n and re.match(r"[A-Za-z_$]", body[j]) and body[j] not in KEYWORDS:
+        while j < n and _is_name(body[j]):
             name = body[j]
             j += 1
             if j < n and body[j] == "[":
-                depth = 0
-                while j < n:
-                    if body[j] == "[":
-                        depth += 1
-                    elif body[j] == "]":
-                        depth -= 1
-                        if depth == 0:
-                            j += 1
-                            break
-                    j += 1
+                j = _skip_balanced(body, j, "[", "]")
             if j < n and body[j] == ".":
                 j += 1
-                continue
-            break
+            else:
+                break
         if name is None or j >= n or body[j] not in ASSIGN_OPS:
             return None
-        start = j + 1
-        depth = 0
-        j = start
-        while j < n:
-            t = body[j]
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif depth == 0 and t == ";":
-                break
-            j += 1
-        self._record_assigns(name, body[start:j], attrs, params, locals_)
-        return j
+        end = _expression_end(body, j + 1, (";",))
+        self._record_assigns(name, body[j + 1 : end], attrs, params, locals_)
+        return end
 
     def _classify(self, name, dotted, has_call, attrs, params, locals_,
                   allow_parameter):
@@ -638,94 +547,52 @@ class _FileParser:
         return "variable"
 
     def _top_level_names(self, tokens, attrs, params, locals_, allow_parameter):
-        """Yield (name, form) for top-level reference chains in an expression."""
+        """Yield (name, form) for top-level reference chains in an expression.
+
+        A chain is a name, or ``this .`` and a name, followed by calls and
+        ``. name`` segments; its last name is yielded, classified as an
+        invocation when a call ends the chain.
+        """
         n = len(tokens)
         i = 0
-        depth = 0
         while i < n:
             t = tokens[i]
-            if t in "([{":
-                depth += 1
-                i += 1
-                continue
-            if t in ")]}":
-                depth -= 1
-                i += 1
-                continue
-            if depth != 0:
-                i += 1
+            if t in _OPENERS:  # names inside brackets are not top level
+                i = _expression_end(tokens, i + 1, ()) + 1
                 continue
             if t == "new":
-                ref = self._parse_tokens_type_ref(tokens, i + 1)
+                ref = _parse_type_ref(tokens, i + 1)
                 if ref:
-                    j, outer, _args = ref
+                    i, outer, _args = ref
                     yield outer, "invocation"
-                    i = j
-                    continue
+                else:
+                    i += 1
+                continue
+            if t == "this" and i + 2 < n and tokens[i + 1] == "." and _is_name(tokens[i + 2]):
+                i += 2
+                dotted = True
+            elif t != "__lit__" and _is_name(t):
+                dotted = False
+            else:
                 i += 1
                 continue
-            if t not in KEYWORDS and re.match(r"[A-Za-z_$]", t) and t != "__lit__":
-                dotted = False
-                name = t
-                has_call = False
-                j = i + 1
-                while j < n:
-                    if tokens[j] == "(":
-                        has_call = True
-                        d = 0
-                        while j < n:
-                            if tokens[j] == "(":
-                                d += 1
-                            elif tokens[j] == ")":
-                                d -= 1
-                                if d == 0:
-                                    j += 1
-                                    break
-                            j += 1
-                    if j < n and tokens[j] == "." and j + 1 < n and re.match(
-                        r"[A-Za-z_$]", tokens[j + 1]
-                    ) and tokens[j + 1] not in KEYWORDS:
-                        name = tokens[j + 1]
-                        dotted = True
-                        has_call = False  # chained call: classify by the tail
-                        j += 2
-                    else:
-                        break
-                yield name, self._classify(
-                    name, dotted, has_call, attrs, params, locals_, allow_parameter
-                )
-                i = j
-                continue
-            if t == "this" and i + 1 < n and tokens[i + 1] == "." and i + 2 < n:
-                name = tokens[i + 2]
-                has_call = False
-                j = i + 3
-                while j < n:
-                    if tokens[j] == "(":
-                        has_call = True
-                        d = 0
-                        while j < n:
-                            if tokens[j] == "(":
-                                d += 1
-                            elif tokens[j] == ")":
-                                d -= 1
-                                if d == 0:
-                                    j += 1
-                                    break
-                            j += 1
-                    if j < n and tokens[j] == "." and j + 1 < n and re.match(
-                        r"[A-Za-z_$]", tokens[j + 1]
-                    ):
-                        name = tokens[j + 1]
-                        j += 2
-                    else:
-                        break
-                yield name, self._classify(
-                    name, True, has_call, attrs, params, locals_, allow_parameter
-                )
-                i = j
-                continue
+            name = tokens[i]
+            has_call = False
             i += 1
+            while i < n:
+                if tokens[i] == "(":
+                    has_call = True
+                    i = _skip_balanced(tokens, i, "(", ")")
+                if i + 1 < n and tokens[i] == "." and _is_name(tokens[i + 1]):
+                    name = tokens[i + 1]
+                    dotted = True
+                    has_call = False  # chained call: classify by the tail
+                    i += 2
+                else:
+                    break
+            yield name, self._classify(
+                name, dotted, has_call, attrs, params, locals_, allow_parameter
+            )
 
     def _record_assigns(self, lhs, rhs_tokens, attrs, params, locals_):
         for name, form in self._top_level_names(
@@ -735,27 +602,16 @@ class _FileParser:
 
     def _scan_calls(self, body, method_id, method_name, params, locals_, attrs):
         n = len(body)
-        i = 0
-        while i < n:
-            t = body[i]
+        for i, t in enumerate(body):
             if t == "new":
-                ref = self._parse_tokens_type_ref(body, i + 1)
+                ref = _parse_type_ref(body, i + 1)
                 if ref and ref[0] < n and body[ref[0]] == "(":
                     j, outer, _args = ref
                     self._record_call(body, j, outer, params, locals_, attrs)
-                i += 1
-                continue
-            if (
-                t not in KEYWORDS
-                and t != "__lit__"
-                and re.match(r"[A-Za-z_$]", t)
-                and i + 1 < n
-                and body[i + 1] == "("
-            ):
+            elif i + 1 < n and body[i + 1] == "(" and t != "__lit__" and _is_name(t):
                 if t != method_name:
                     self.b.invokes.append((method_id, t))
                 self._record_call(body, i + 1, t, params, locals_, attrs)
-            i += 1
 
     def _record_call(self, body, paren_at, callee, params, locals_, attrs):
         """Collect one call site's arguments for later passes resolution."""
@@ -764,12 +620,12 @@ class _FileParser:
         args: list[list[str]] = [[]]
         while j < len(body):
             t = body[j]
-            if t in "([{":
+            if t in _OPENERS:
                 depth += 1
                 if depth == 1:
                     j += 1
                     continue
-            elif t in ")]}":
+            elif t in _CLOSERS:
                 depth -= 1
                 if depth == 0:
                     break

@@ -6,6 +6,7 @@ yardsticks the production diff is measured against.
 """
 
 import itertools
+import re
 import subprocess
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -14,6 +15,8 @@ import numpy as np
 
 from corename.chunks import ChunkKind, OperationalChunk
 from corename.errors import RepoError
+from corename.facts.model import CodeFacts, Entity, EntityKind
+from corename.facts.parser import ASSIGN_OPS, KEYWORDS, MODIFIERS, PRIMITIVES, tokenize
 from corename.mining import CommitFiles
 
 
@@ -495,3 +498,757 @@ def _show(repo: Path, commit: str, path: str) -> str | None:
         errors="replace",
     )
     return proc.stdout if proc.returncode == 0 else None
+
+
+# --- the fact extractor before its token scans were shared -----------------
+# ``extract_facts_reference`` and the two classes below it are the old
+# ``corename.facts.parser`` internals, unchanged apart from their names and
+# the dropped skip warning.  ``tokenize`` and the keyword sets are the
+# production ones: they were not rewritten.
+
+
+class _ReferenceBuilder:
+    def __init__(self):
+        self.entities: list[Entity] = []
+        self.contains: list[tuple[int, int]] = []
+        self.extends: list[tuple[int, str]] = []
+        self.implements: list[tuple[int, str]] = []
+        self.typed: list[tuple[int, str]] = []
+        self.returns: list[tuple[int, str]] = []
+        self.invokes: list[tuple[int, str]] = []
+        self.accesses: list[tuple[int, str]] = []
+        self.assigns: list[tuple[str, str, str]] = []
+        self.skipped: list[tuple[str, str]] = []
+        # method id -> ordered formal parameter names (for passes resolution)
+        self.method_params: dict[int, list[str]] = {}
+        # (callee name, [(position, actual name, form)], arity)
+        self.calls: list[tuple[str, list[tuple[int, str, str]], int]] = []
+
+    def add_entity(self, kind, name, container, file) -> int:
+        eid = len(self.entities)
+        self.entities.append(Entity(eid, kind, name, container, file))
+        if container is not None:
+            self.contains.append((container, eid))
+        return eid
+
+    def finish(self) -> CodeFacts:
+        passes: list[tuple[str, str, str]] = []
+        by_name_arity: dict[tuple[str, int], list[int]] = {}
+        for mid, params in self.method_params.items():
+            by_name_arity.setdefault(
+                (self.entities[mid].name, len(params)), []
+            ).append(mid)
+        seen = set()
+        for callee, args, arity in self.calls:
+            for mid in by_name_arity.get((callee, arity), ()):
+                formals = self.method_params[mid]
+                for position, actual, form in args:
+                    row = (formals[position], actual, form)
+                    if row not in seen:
+                        seen.add(row)
+                        passes.append(row)
+        return CodeFacts(
+            entities=tuple(self.entities),
+            contains=tuple(self.contains),
+            extends=tuple(self.extends),
+            implements=tuple(self.implements),
+            typed=tuple(dict.fromkeys(self.typed)),
+            returns=tuple(dict.fromkeys(self.returns)),
+            invokes=tuple(dict.fromkeys(self.invokes)),
+            accesses=tuple(dict.fromkeys(self.accesses)),
+            assigns=tuple(dict.fromkeys(self.assigns)),
+            passes=tuple(passes),
+            skipped=tuple(self.skipped),
+        )
+
+
+class _ReferenceFileParser:
+    def __init__(self, file: str, tokens: list[str], builder: _ReferenceBuilder):
+        self.file = file
+        self.toks = tokens
+        self.n = len(tokens)
+        self.b = builder
+
+    # --- token helpers -------------------------------------------------
+
+    def _skip_balanced(self, i: int, open_tok: str, close_tok: str) -> int:
+        """i points at open_tok; returns index just past its match."""
+        depth = 0
+        while i < self.n:
+            t = self.toks[i]
+            if t == open_tok:
+                depth += 1
+            elif t == close_tok:
+                depth -= 1
+                if depth == 0:
+                    return i + 1
+            i += 1
+        return self.n
+
+    def _skip_annotation(self, i: int) -> int:
+        i += 1  # '@'
+        while i < self.n and (
+            self.toks[i] not in KEYWORDS and re.match(r"[A-Za-z_$]", self.toks[i])
+        ):
+            i += 1
+            if i < self.n and self.toks[i] == ".":
+                i += 1
+                continue
+            break
+        if i < self.n and self.toks[i] == "(":
+            i = self._skip_balanced(i, "(", ")")
+        return i
+
+    def _parse_type_ref(self, i: int):
+        """Parse a type occurrence; returns (next index, outer, args) or None.
+
+        ``outer`` is the final segment of the dotted head; ``args`` are the
+        outer names of first-level type arguments.  Aborts (None) on
+        anything that cannot be type syntax, so callers can fall back to
+        expression handling.
+        """
+        toks = self.toks
+        if i >= self.n:
+            return None
+        head = toks[i]
+        if head in PRIMITIVES:
+            outer = head
+            i += 1
+        elif head not in KEYWORDS and re.match(r"[A-Za-z_$]", head):
+            outer = head
+            i += 1
+            while i + 1 < self.n and toks[i] == "." and re.match(
+                r"[A-Za-z_$]", toks[i + 1]
+            ) and toks[i + 1] not in KEYWORDS:
+                outer = toks[i + 1]
+                i += 2
+        else:
+            return None
+        args: list[str] = []
+        if i < self.n and toks[i] == "<":
+            depth = 0
+            j = i
+            expect_arg = True
+            while j < self.n:
+                t = toks[j]
+                if t == "<":
+                    depth += 1
+                elif t == ">":
+                    depth -= 1
+                    if depth == 0:
+                        j += 1
+                        break
+                elif depth == 1:
+                    if t == ",":
+                        expect_arg = True
+                    elif expect_arg and t not in KEYWORDS and re.match(
+                        r"[A-Za-z_$]", t
+                    ):
+                        name = t
+                        k = j
+                        while k + 2 < self.n and toks[k + 1] == "." and re.match(
+                            r"[A-Za-z_$]", toks[k + 2]
+                        ):
+                            name = toks[k + 2]
+                            k += 2
+                        args.append(name)
+                        expect_arg = False
+                    elif t in ("?", "extends", "super"):
+                        pass
+                    elif not re.match(r"[A-Za-z_$.\[\]]", t):
+                        return None  # expression, not a generic type
+                elif depth >= 2:
+                    # nested generic depth > 1: names there are ignored
+                    if not re.match(r"[A-Za-z_$.,?\[\]<>]", t) and t not in (
+                        "extends",
+                        "super",
+                    ):
+                        return None
+                j += 1
+            else:
+                return None
+            i = j
+        while i + 1 < self.n and toks[i] == "[" and toks[i + 1] == "]":
+            i += 2
+        return i, outer, args
+
+    # --- declarations ---------------------------------------------------
+
+    def parse_unit(self) -> None:
+        i = 0
+        while i < self.n:
+            t = self.toks[i]
+            if t in ("package", "import"):
+                while i < self.n and self.toks[i] != ";":
+                    i += 1
+                i += 1
+            elif t == "@":
+                i = self._skip_annotation(i)
+            elif t in MODIFIERS:
+                i += 1
+            elif t in ("class", "interface"):
+                i = self._parse_type_decl(i, None)
+            elif t == "enum":
+                i = self._skip_enum(i)
+            else:
+                i += 1
+
+    def _skip_enum(self, i: int) -> int:
+        while i < self.n and self.toks[i] != "{":
+            i += 1
+        if i < self.n:
+            i = self._skip_balanced(i, "{", "}")
+        return i
+
+    def _parse_type_decl(self, i: int, container: int | None) -> int:
+        kw = self.toks[i]
+        i += 1
+        if i >= self.n or self.toks[i] in KEYWORDS:
+            return i
+        name = self.toks[i]
+        i += 1
+        kind = EntityKind.CLASS if kw == "class" else EntityKind.INTERFACE
+        eid = self.b.add_entity(kind, name, container, self.file)
+        if i < self.n and self.toks[i] == "<":
+            i = self._skip_balanced(i, "<", ">")
+        if i < self.n and self.toks[i] == "extends":
+            ref = self._parse_type_ref(i + 1)
+            if ref:
+                i, outer, _args = ref
+                if kind is EntityKind.CLASS:
+                    self.b.extends.append((eid, outer))
+                while i < self.n and self.toks[i] == ",":  # interface extends list
+                    ref = self._parse_type_ref(i + 1)
+                    if not ref:
+                        break
+                    i, _outer, _args = ref
+            else:
+                i += 1
+        if i < self.n and self.toks[i] == "implements":
+            i += 1
+            while i < self.n:
+                ref = self._parse_type_ref(i)
+                if not ref:
+                    break
+                i, outer, _args = ref
+                self.b.implements.append((eid, outer))
+                if i < self.n and self.toks[i] == ",":
+                    i += 1
+                else:
+                    break
+        while i < self.n and self.toks[i] != "{":
+            i += 1
+        if i >= self.n:
+            return i
+        return self._parse_type_body(i, eid, name)
+
+    def _parse_type_body(self, i: int, class_id: int, class_name: str) -> int:
+        i += 1  # '{'
+        pending_bodies: list[tuple[int, list[str]]] = []
+        pending_inits: list[tuple[str, list[str]]] = []
+        while i < self.n:
+            t = self.toks[i]
+            if t == "}":
+                i += 1
+                break
+            if t == ";":
+                i += 1
+            elif t == "@":
+                i = self._skip_annotation(i)
+            elif t in MODIFIERS:
+                i += 1
+            elif t in ("class", "interface"):
+                i = self._parse_type_decl(i, class_id)
+            elif t == "enum":
+                i = self._skip_enum(i)
+            elif t == "{":
+                i = self._skip_balanced(i, "{", "}")  # initializer block
+            elif t == "<":
+                i = self._skip_balanced(i, "<", ">")  # generic method type params
+            else:
+                i = self._parse_member(
+                    i, class_id, class_name, pending_bodies, pending_inits
+                )
+        # Attribute names are complete only now; resolve deferred work.
+        attrs = self._attribute_names(class_id)
+        for field_name, init in pending_inits:
+            self._record_assigns(field_name, init, attrs, set(), set())
+        for method_id, body in pending_bodies:
+            self._analyze_body(method_id, body, class_id, attrs)
+        return i
+
+    def _attribute_names(self, class_id: int) -> frozenset[str]:
+        return frozenset(
+            e.name
+            for e in self.b.entities
+            if e.container == class_id and e.kind is EntityKind.ATTRIBUTE
+        )
+
+    def _parse_member(self, i, class_id, class_name, pending_bodies, pending_inits):
+        ref = self._parse_type_ref(i)
+        if ref is None:
+            return i + 1
+        j, outer, args = ref
+        if j < self.n and self.toks[j] == "(" and outer == self.toks[i]:
+            # constructor: no return type, name equals the head token
+            return self._parse_method(
+                i, j, class_id, None, (), pending_bodies, constructor=True
+            )
+        if j >= self.n or self.toks[j] in KEYWORDS or not re.match(
+            r"[A-Za-z_$]", self.toks[j]
+        ):
+            return j if j > i else i + 1
+        name_at = j
+        after = j + 1
+        if after < self.n and self.toks[after] == "(":
+            return self._parse_method(
+                name_at, after, class_id, outer, tuple(args), pending_bodies
+            )
+        if after < self.n and (self.toks[after] in (";", "=", ",")):
+            return self._parse_field(
+                i, name_at, class_id, outer, tuple(args), pending_inits
+            )
+        return after
+
+    def _parse_method(self, name_at, paren_at, class_id, ret_outer, ret_args,
+                      pending_bodies, constructor=False):
+        name = self.toks[name_at]
+        mid = self.b.add_entity(EntityKind.METHOD, name, class_id, self.file)
+        if not constructor and ret_outer not in (None, "void"):
+            self.b.returns.append((mid, ret_outer))
+            for a in ret_args:
+                self.b.returns.append((mid, a))
+        i = paren_at + 1
+        params: list[str] = []
+        while i < self.n and self.toks[i] != ")":
+            if self.toks[i] == "@":
+                i = self._skip_annotation(i)
+                continue
+            if self.toks[i] in ("final", ","):
+                i += 1
+                continue
+            ref = self._parse_type_ref(i)
+            if ref is None:
+                i += 1
+                continue
+            i, outer, args = ref
+            if i < self.n and self.toks[i] == "." and self.toks[i + 1 : i + 3] == [".", "."]:
+                i += 3  # varargs ellipsis
+            if i < self.n and re.match(r"[A-Za-z_$]", self.toks[i]) and self.toks[
+                i
+            ] not in KEYWORDS:
+                pid = self.b.add_entity(
+                    EntityKind.PARAMETER, self.toks[i], mid, self.file
+                )
+                self.b.typed.append((pid, outer))
+                for a in args:
+                    self.b.typed.append((pid, a))
+                params.append(self.toks[i])
+                i += 1
+        self.b.method_params[mid] = params
+        i += 1  # ')'
+        while i < self.n and self.toks[i] not in ("{", ";"):
+            i += 1
+        if i < self.n and self.toks[i] == "{":
+            end = self._skip_balanced(i, "{", "}")
+            body = self.toks[i + 1 : end - 1]
+            # stash for analysis once the class's attributes are all known
+            pending_bodies.append((mid, body))
+            return end
+        return i + 1
+
+    def _parse_field(self, type_at, name_at, class_id, outer, args, pending_inits):
+        i = name_at
+        while i < self.n:
+            name = self.toks[i]
+            fid = self.b.add_entity(EntityKind.ATTRIBUTE, name, class_id, self.file)
+            self.b.typed.append((fid, outer))
+            for a in args:
+                self.b.typed.append((fid, a))
+            i += 1
+            if i < self.n and self.toks[i] == "=":
+                start = i + 1
+                depth = 0
+                while i < self.n:
+                    t = self.toks[i]
+                    if t in "([{":
+                        depth += 1
+                    elif t in ")]}":
+                        depth -= 1
+                    elif depth == 0 and t in (",", ";"):
+                        break
+                    i += 1
+                pending_inits.append((name, self.toks[start:i]))
+            if i < self.n and self.toks[i] == ",":
+                i += 1
+                continue
+            break
+        while i < self.n and self.toks[i] != ";":
+            i += 1
+        return i + 1
+
+    # --- method bodies ---------------------------------------------------
+
+    def _analyze_body(self, method_id, body, class_id, attrs):
+        method_name = self.b.entities[method_id].name
+        params = set(self.b.method_params.get(method_id, ()))
+        body = self._strip_anonymous_bodies(body)
+        locals_: set[str] = set()
+        self._scan_declarations(body, method_id, params, locals_, attrs)
+        self._scan_calls(body, method_id, method_name, params, locals_, attrs)
+        for t in body:
+            if t in attrs and t not in KEYWORDS:
+                self.b.accesses.append((method_id, t))
+
+    def _strip_anonymous_bodies(self, body):
+        """Drop `new T(...) { ... }` class bodies from the token stream."""
+        out = []
+        i = 0
+        n = len(body)
+        while i < n:
+            t = body[i]
+            out.append(t)
+            if t == "new":
+                j = i + 1
+                while j < n and (
+                    re.match(r"[A-Za-z_$.<>,\[\]]", body[j]) and body[j] != "new"
+                ):
+                    j += 1
+                if j < n and body[j] == "(":
+                    depth = 0
+                    while j < n:
+                        if body[j] == "(":
+                            depth += 1
+                        elif body[j] == ")":
+                            depth -= 1
+                            if depth == 0:
+                                break
+                        j += 1
+                    if j + 1 < n and body[j + 1] == "{":
+                        out.extend(body[i + 1 : j + 1])
+                        depth = 0
+                        j += 1
+                        while j < n:
+                            if body[j] == "{":
+                                depth += 1
+                            elif body[j] == "}":
+                                depth -= 1
+                                if depth == 0:
+                                    break
+                            j += 1
+                        i = j + 1
+                        continue
+            i += 1
+        return out
+
+    def _scan_declarations(self, body, method_id, params, locals_, attrs):
+        n = len(body)
+        at_start = True
+        i = 0
+        while i < n:
+            t = body[i]
+            if t in (";", "{", "}", "("):
+                at_start = True
+                i += 1
+                continue
+            if at_start and t == "final":
+                i += 1
+                continue
+            if at_start and t == "this":
+                assign = self._try_assignment(body, i, params, locals_, attrs)
+                if assign is not None:
+                    i = assign
+                    at_start = True
+                    continue
+            if at_start and (t in PRIMITIVES or (t not in KEYWORDS and re.match(r"[A-Za-z_$]", t))):
+                decl = self._try_declaration(body, i, method_id, params, locals_, attrs)
+                if decl is not None:
+                    i = decl
+                    at_start = True
+                    continue
+                assign = self._try_assignment(body, i, params, locals_, attrs)
+                if assign is not None:
+                    i = assign
+                    at_start = True
+                    continue
+            at_start = False
+            i += 1
+        return locals_
+
+    def _try_declaration(self, body, i, method_id, params, locals_, attrs):
+        ref = self._parse_tokens_type_ref(body, i)
+        if ref is None:
+            return None
+        j, outer, args = ref
+        if j >= len(body) or body[j] in KEYWORDS or not re.match(r"[A-Za-z_$]", body[j]):
+            return None
+        if j + 1 >= len(body) or body[j + 1] not in ("=", ";", ",", ":"):
+            return None
+        while True:
+            name = body[j]
+            vid = self.b.add_entity(EntityKind.VARIABLE, name, method_id, self.file)
+            self.b.typed.append((vid, outer))
+            for a in args:
+                self.b.typed.append((vid, a))
+            locals_.add(name)
+            j += 1
+            if j < len(body) and body[j] == "=":
+                start = j + 1
+                depth = 0
+                while j < len(body):
+                    t = body[j]
+                    if t in "([{":
+                        depth += 1
+                    elif t in ")]}":
+                        if depth == 0:
+                            break
+                        depth -= 1
+                    elif depth == 0 and t in (",", ";", ":"):
+                        break
+                    j += 1
+                self._record_assigns(name, body[start:j], attrs, params, locals_)
+            if j < len(body) and body[j] == "," and j + 1 < len(body) and re.match(
+                r"[A-Za-z_$]", body[j + 1]
+            ):
+                j += 1
+                continue
+            break
+        return j
+
+    def _parse_tokens_type_ref(self, body, i):
+        saved_toks, saved_n = self.toks, self.n
+        self.toks, self.n = body, len(body)
+        try:
+            return self._parse_type_ref(i)
+        finally:
+            self.toks, self.n = saved_toks, saved_n
+
+    def _try_assignment(self, body, i, params, locals_, attrs):
+        n = len(body)
+        j = i
+        if body[j] == "this" and j + 1 < n and body[j + 1] == ".":
+            j += 2
+        name = None
+        while j < n and re.match(r"[A-Za-z_$]", body[j]) and body[j] not in KEYWORDS:
+            name = body[j]
+            j += 1
+            if j < n and body[j] == "[":
+                depth = 0
+                while j < n:
+                    if body[j] == "[":
+                        depth += 1
+                    elif body[j] == "]":
+                        depth -= 1
+                        if depth == 0:
+                            j += 1
+                            break
+                    j += 1
+            if j < n and body[j] == ".":
+                j += 1
+                continue
+            break
+        if name is None or j >= n or body[j] not in ASSIGN_OPS:
+            return None
+        start = j + 1
+        depth = 0
+        j = start
+        while j < n:
+            t = body[j]
+            if t in "([{":
+                depth += 1
+            elif t in ")]}":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif depth == 0 and t == ";":
+                break
+            j += 1
+        self._record_assigns(name, body[start:j], attrs, params, locals_)
+        return j
+
+    def _classify(self, name, dotted, has_call, attrs, params, locals_,
+                  allow_parameter):
+        # Bare names follow Java scoping: parameters and locals shadow
+        # attributes; dotted references are field accesses.
+        if has_call:
+            return "invocation"
+        if dotted:
+            return "attribute"
+        if name in params:
+            return "parameter" if allow_parameter else "variable"
+        if name in locals_:
+            return "variable"
+        if name in attrs:
+            return "attribute"
+        return "variable"
+
+    def _top_level_names(self, tokens, attrs, params, locals_, allow_parameter):
+        """Yield (name, form) for top-level reference chains in an expression."""
+        n = len(tokens)
+        i = 0
+        depth = 0
+        while i < n:
+            t = tokens[i]
+            if t in "([{":
+                depth += 1
+                i += 1
+                continue
+            if t in ")]}":
+                depth -= 1
+                i += 1
+                continue
+            if depth != 0:
+                i += 1
+                continue
+            if t == "new":
+                ref = self._parse_tokens_type_ref(tokens, i + 1)
+                if ref:
+                    j, outer, _args = ref
+                    yield outer, "invocation"
+                    i = j
+                    continue
+                i += 1
+                continue
+            if t not in KEYWORDS and re.match(r"[A-Za-z_$]", t) and t != "__lit__":
+                dotted = False
+                name = t
+                has_call = False
+                j = i + 1
+                while j < n:
+                    if tokens[j] == "(":
+                        has_call = True
+                        d = 0
+                        while j < n:
+                            if tokens[j] == "(":
+                                d += 1
+                            elif tokens[j] == ")":
+                                d -= 1
+                                if d == 0:
+                                    j += 1
+                                    break
+                            j += 1
+                    if j < n and tokens[j] == "." and j + 1 < n and re.match(
+                        r"[A-Za-z_$]", tokens[j + 1]
+                    ) and tokens[j + 1] not in KEYWORDS:
+                        name = tokens[j + 1]
+                        dotted = True
+                        has_call = False  # chained call: classify by the tail
+                        j += 2
+                    else:
+                        break
+                yield name, self._classify(
+                    name, dotted, has_call, attrs, params, locals_, allow_parameter
+                )
+                i = j
+                continue
+            if t == "this" and i + 1 < n and tokens[i + 1] == "." and i + 2 < n:
+                name = tokens[i + 2]
+                has_call = False
+                j = i + 3
+                while j < n:
+                    if tokens[j] == "(":
+                        has_call = True
+                        d = 0
+                        while j < n:
+                            if tokens[j] == "(":
+                                d += 1
+                            elif tokens[j] == ")":
+                                d -= 1
+                                if d == 0:
+                                    j += 1
+                                    break
+                            j += 1
+                    if j < n and tokens[j] == "." and j + 1 < n and re.match(
+                        r"[A-Za-z_$]", tokens[j + 1]
+                    ):
+                        name = tokens[j + 1]
+                        j += 2
+                    else:
+                        break
+                yield name, self._classify(
+                    name, True, has_call, attrs, params, locals_, allow_parameter
+                )
+                i = j
+                continue
+            i += 1
+
+    def _record_assigns(self, lhs, rhs_tokens, attrs, params, locals_):
+        for name, form in self._top_level_names(
+            rhs_tokens, attrs, params, locals_, allow_parameter=True
+        ):
+            self.b.assigns.append((lhs, name, form))
+
+    def _scan_calls(self, body, method_id, method_name, params, locals_, attrs):
+        n = len(body)
+        i = 0
+        while i < n:
+            t = body[i]
+            if t == "new":
+                ref = self._parse_tokens_type_ref(body, i + 1)
+                if ref and ref[0] < n and body[ref[0]] == "(":
+                    j, outer, _args = ref
+                    self._record_call(body, j, outer, params, locals_, attrs)
+                i += 1
+                continue
+            if (
+                t not in KEYWORDS
+                and t != "__lit__"
+                and re.match(r"[A-Za-z_$]", t)
+                and i + 1 < n
+                and body[i + 1] == "("
+            ):
+                if t != method_name:
+                    self.b.invokes.append((method_id, t))
+                self._record_call(body, i + 1, t, params, locals_, attrs)
+            i += 1
+
+    def _record_call(self, body, paren_at, callee, params, locals_, attrs):
+        """Collect one call site's arguments for later passes resolution."""
+        depth = 0
+        j = paren_at
+        args: list[list[str]] = [[]]
+        while j < len(body):
+            t = body[j]
+            if t in "([{":
+                depth += 1
+                if depth == 1:
+                    j += 1
+                    continue
+            elif t in ")]}":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif depth == 1 and t == ",":
+                args.append([])
+                j += 1
+                continue
+            if depth >= 1:
+                args[-1].append(t)
+            j += 1
+        if args == [[]]:
+            return
+        entries: list[tuple[int, str, str]] = []
+        for position, arg in enumerate(args):
+            if "->" in arg:
+                continue  # lambda argument: out of the supported subset
+            found = list(
+                self._top_level_names(arg, attrs, params, locals_, allow_parameter=False)
+            )
+            if len(found) == 1:
+                name, form = found[0]
+                entries.append((position, name, form))
+        self.b.calls.append((callee, entries, len(args)))
+
+
+def extract_facts_reference(sources: dict[str, str]) -> CodeFacts:
+    """``extract_facts`` as it was before its token scans were shared:
+    copied bracket and expression loops, two reference-chain readers, and
+    a rescan of every entity for each class's attribute names."""
+    builder = _ReferenceBuilder()
+    for file in sorted(sources):
+        try:
+            parser = _ReferenceFileParser(file, tokenize(sources[file]), builder)
+            parser.parse_unit()
+        except Exception as exc:  # defensive: a bad file must not be fatal
+            builder.skipped.append((file, str(exc)))
+    return builder.finish()

@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line pipeline."""
 
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import corename
 from corename.cli import run
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -115,6 +118,25 @@ class TestMine:
         )
         assert rc == 0
         assert len(out.read_text().splitlines()) == 33
+
+    @pytest.mark.parametrize("module", ["corename", "corename.cli"])
+    def test_python_dash_m(self, tmp_path, module):
+        src = str(Path(corename.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        out = tmp_path / "renames.jsonl"
+        command = [sys.executable, "-m", module, "mine", "--out", str(out), "--records"]
+        proc = subprocess.run(
+            [*command, str(CORPUS / "renames.jsonl")], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 33
+        missing = subprocess.run(
+            [*command, str(tmp_path / "missing.jsonl")], capture_output=True, text=True, env=env
+        )
+        assert missing.returncode == 2
+        assert "missing.jsonl" in missing.stderr
 
     def test_repo_mining(self, tmp_path):
         repo = tmp_path / "repo"

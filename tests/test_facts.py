@@ -1,9 +1,12 @@
 """Tests for the fact extractor and its JSON round trip."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import extract_facts_reference
 from corename.errors import ParseError
 from corename.facts import (
     CodeFacts,
@@ -11,6 +14,8 @@ from corename.facts import (
     extract_facts,
     extract_facts_from_dir,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 FIG_SOURCE = """
 import java.util.Set;
@@ -273,6 +278,258 @@ class TestExtractFacts:
         )
         method = next(e for e in facts.entities if e.kind is EntityKind.METHOD)
         assert facts.qualified_path(method) == "Outer.Inner.m"
+
+
+    def test_field_missing_semicolon_ends_at_class_brace(self):
+        facts = extract_facts(
+            {"A.java": "class A { int x = 1 } class B { int y; void m() { } }"}
+        )
+        by_name = {e.name: e for e in facts.entities}
+        assert by_name["B"].kind is EntityKind.CLASS
+        assert by_name["y"].container == by_name["B"].id
+        assert by_name["m"].container == by_name["B"].id
+        assert by_name["x"].container == by_name["A"].id
+        assert facts.assigns == ()
+
+    def test_bodiless_method_missing_semicolon_ends_at_class_brace(self):
+        facts = extract_facts(
+            {"A.java": "interface I { void m() } class B { int y; }"}
+        )
+        by_name = {e.name: e for e in facts.entities}
+        assert by_name["m"].container == by_name["I"].id
+        assert by_name["y"].container == by_name["B"].id
+
+    def test_this_chain_classified_like_other_dotted_chains(self):
+        facts = extract_facts(
+            {
+                "T.java": """
+                class A {
+                    int x;
+                    void m() {
+                        int y = this.x.a().b;
+                        int z = x.a().b;
+                    }
+                }
+                """
+            }
+        )
+        assert ("y", "b", "attribute") in facts.assigns
+        assert ("z", "b", "attribute") in facts.assigns
+
+    def test_this_followed_by_keyword_records_no_name(self):
+        facts = extract_facts(
+            {
+                "T.java": """
+                class A {
+                    Object q;
+                    Object r;
+                    void m() {
+                        q = this.new();
+                        r = this.class;
+                    }
+                }
+                """
+            }
+        )
+        assert [row for row in facts.assigns if row[0] in ("q", "r")] == []
+
+
+def _fixture_sources(directory):
+    return {
+        str(path.relative_to(directory)): path.read_text(encoding="utf-8")
+        for path in sorted(directory.rglob("*.java"))
+    }
+
+
+def _assert_same_as_reference(sources):
+    got = extract_facts(sources).to_json()
+    want = extract_facts_reference(sources).to_json()
+    # name the differing tables, not a diff of every row
+    assert got.keys() == want.keys()
+    assert [table for table in want if got[table] != want[table]] == []
+
+
+# A Java subset grammar for the reference comparison.  It leaves out the
+# two inputs the rewrite reads differently on purpose: a member missing its
+# ';' and a 'this.' chain with a call before a later '.name' or with a
+# keyword after 'this.'.
+_names = st.sampled_from(["a", "b", "count", "item", "node", "value"])
+_methods = st.sampled_from(["get", "put", "run", "size", "m"])
+_classes = st.sampled_from(["A", "B", "Item", "Node"])
+_prims = st.sampled_from(["int", "long", "boolean", "double"])
+
+
+def _generic(args):
+    return st.builds(
+        "{}<{}>".format,
+        st.sampled_from(["List", "Map", "Set"]),
+        st.lists(args, min_size=1, max_size=2).map(", ".join),
+    )
+
+
+_type_args = st.one_of(
+    _classes,
+    _classes.map("java.util.{}".format),
+    _classes.map("? extends {}".format),
+    _generic(_classes),
+)
+_ref_types = st.one_of(
+    _classes,
+    _classes.map("java.util.{}".format),
+    _generic(_type_args),  # generics nested two deep
+)
+_types = st.one_of(
+    _prims, _ref_types, st.one_of(_prims, _classes).map("{}[]".format)
+)
+
+
+def _args(exprs):
+    return st.lists(exprs, max_size=3).map(", ".join)
+
+
+def _extend(exprs):
+    return st.one_of(
+        st.builds("{}({})".format, _methods, _args(exprs)),
+        st.builds("{}.{}({})".format, _names, _methods, _args(exprs)),
+        st.builds("{}.{}().{}".format, _names, _methods, _names),
+        st.builds("this.{}({})".format, _methods, _args(exprs)),
+        st.builds("new {}({})".format, _ref_types, _args(exprs)),
+        st.builds(
+            "new {}({}) {{ public void run() {{ int {} = {}; }} }}".format,
+            _classes, _args(exprs), _names, exprs,
+        ),
+        st.builds("{} -> {}".format, _names, exprs),
+        st.builds("({}, {}) -> {{ return {}; }}".format, _names, _names, exprs),
+        st.builds(
+            "{} {} {}".format, exprs, st.sampled_from(["+", "<", ">", "==", "&&"]), exprs
+        ),
+        st.builds("{}[{}]".format, _names, exprs),
+        st.builds("{} ? {} : {}".format, exprs, exprs, exprs),
+        # comparisons that read like a generic type up to the last name
+        st.builds(
+            "{}({} < {}, {} > {}, {})".format,
+            _methods, _names, exprs, _names, _names, exprs,
+        ),
+        st.builds("({})".format, exprs),
+    )
+
+
+_exprs = st.recursive(
+    st.one_of(
+        _names,
+        _names.map("this.{}".format),
+        st.builds("{}.{}".format, _names, _names),
+        st.sampled_from(["1", "0L", '"text"', "null", "true"]),
+    ),
+    _extend,
+    max_leaves=5,
+)
+_statements = st.one_of(
+    st.builds("{} {} = {};".format, _types, _names, _exprs),
+    st.builds("{} {} = {} ? {} : {};".format, _types, _names, _names, _exprs, _exprs),
+    st.builds("final {} {};".format, _types, _names),
+    st.builds("{} {}, {} = {};".format, _types, _names, _names, _exprs),
+    st.builds("this.{} = {};".format, _names, _exprs),
+    st.builds("{}[{}] = {};".format, _names, _names, _exprs),
+    st.builds("{} {} {};".format, _names, st.sampled_from(["=", "+="]), _exprs),
+    st.builds("{}.{}({});".format, _names, _methods, _args(_exprs)),
+    st.builds("{}({});".format, _methods, _args(_exprs)),
+    st.builds("return {};".format, _exprs),
+    st.builds(
+        "for ({} {} : {}) {{ {} = {}; }}".format,
+        _types, _names, _names, _names, _exprs,
+    ),
+)
+_block = st.lists(_statements, max_size=4).map(" ".join)
+_param = st.builds(
+    "{}{}{} {}".format,
+    st.sampled_from(["", "@Nullable ", '@SuppressWarnings("x") ']),
+    st.sampled_from(["", "final "]),
+    _types,
+    _names,
+)
+_params = st.builds(
+    lambda params, varargs: ", ".join(params + ["final Item... rest"] * varargs),
+    st.lists(_param, max_size=3),
+    st.booleans(),
+)
+_methods_decl = st.one_of(
+    st.builds(
+        "{}{} {}({}) {{ {} }}".format,
+        st.sampled_from(["", "public ", "@Override ", "<T> "]),
+        st.one_of(_types, st.just("void")),
+        _methods,
+        _params,
+        _block,
+    ),
+    st.builds("{}({}) {{ {} }}".format, _classes, _params, _block),  # constructor
+)
+_signatures = st.builds(
+    "{} {}({});".format, st.one_of(_types, st.just("void")), _methods, _params
+)
+_fields = st.one_of(
+    st.builds("{}{} {};".format, st.sampled_from(["", "private ", "static final "]), _types, _names),
+    st.builds("{} {} = {};".format, _types, _names, _exprs),
+    st.builds("{} {} = {} ? {} : {};".format, _types, _names, _names, _exprs, _exprs),
+    st.builds("{} {} = {}, {};".format, _types, _names, _exprs, _names),
+)
+
+
+def _class(members):
+    return st.builds(
+        "{}class {}{}{}{} {{ {} }}".format,
+        st.sampled_from(["", "public ", "abstract "]),
+        _classes,
+        st.sampled_from(["", "<T>", "<K, V extends A>"]),
+        st.one_of(st.just(""), _ref_types.map(" extends {}".format)),
+        st.one_of(
+            st.just(""),
+            st.lists(_ref_types, min_size=1, max_size=2).map(
+                lambda ts: " implements " + ", ".join(ts)
+            ),
+        ),
+        st.lists(members, max_size=5).map(" ".join),
+    )
+
+
+_interface = st.builds(
+    "interface {}{} {{ {} }}".format,
+    _classes,
+    st.one_of(
+        st.just(""),
+        st.lists(_ref_types, min_size=1, max_size=3).map(
+            lambda ts: " extends " + ", ".join(ts)
+        ),
+    ),
+    st.lists(_signatures, max_size=3).map(" ".join),
+)
+_members = st.one_of(_fields, _methods_decl, _signatures.map("abstract {}".format))
+_types_decl = st.one_of(
+    _class(st.one_of(_members, _class(_members), _interface)),  # nested classes
+    _interface,
+)
+_sources = st.dictionaries(
+    st.sampled_from(["A.java", "p/B.java", "C.java"]),
+    st.builds(
+        "{}{}".format,
+        st.sampled_from(["", "package p; import java.util.List;\n"]),
+        st.lists(_types_decl, min_size=1, max_size=3).map("\n".join),
+    ),
+    min_size=1,
+)
+
+
+class TestSameFactsAsReference:
+    """``extract_facts`` against the extractor it replaced, table for table."""
+
+    @pytest.mark.parametrize("tree", ["corpus/src", "fig1"])
+    def test_fixture_trees(self, tree):
+        _assert_same_as_reference(_fixture_sources(FIXTURES / tree))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sources)
+    def test_generated_sources(self, sources):
+        _assert_same_as_reference(sources)
 
 
 class TestFactsJson:
