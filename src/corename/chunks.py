@@ -17,7 +17,6 @@ from .lexicon import (
     CASING_CAPITALIZED,
     CASING_LOWER,
     WordSequence,
-    normalize,
     pluralize,
     re_case,
 )
@@ -262,24 +261,33 @@ def _added_surfaces(chunk: OperationalChunk, occurrence: list) -> list[str]:
     return out
 
 
-def apply_chunk(
-    chunk: OperationalChunk, target: WordSequence, mode: str = "lemma"
-) -> list[WordSequence]:
+def anchor_lemma(chunk: OperationalChunk) -> str | None:
+    """The lemma a target must hold for ``apply_chunk`` to rewrite it: the
+    first deleted lemma of a Replace or Delete, or the word an Insert goes
+    next to.  None for a chunk that rewrites nothing."""
+    if chunk.kind in (ChunkKind.REPLACE, ChunkKind.DELETE):
+        return chunk.deleted[0]
+    if chunk.kind is ChunkKind.INSERT:
+        return chunk.left_context if chunk.anchor > 0 else chunk.right_context
+    return None
+
+
+def apply_chunk(chunk: OperationalChunk, target: WordSequence) -> list[str]:
     """Apply a chunk everywhere it fits in ``target``.
 
     Replace/Delete rewrite every contiguous occurrence of the deleted
     lemmas; Insert requires the word adjacent to the original insertion
     point to occur in the target and inserts next to it.  Other and Inflect
     describe form-only changes and produce nothing.  One renamed
-    WordSequence is returned per occurrence; raises DegenerateResult if an
+    identifier is returned per occurrence; raises DegenerateResult if an
     application would delete every word.
     """
     if chunk.kind in (ChunkKind.OTHER, ChunkKind.INFLECT):
         return []
     lemmas = target.lemmas
-    results: list[WordSequence] = []
+    results: list[str] = []
     if chunk.kind is ChunkKind.INSERT:
-        context = chunk.left_context if chunk.anchor > 0 else chunk.right_context
+        context = anchor_lemma(chunk)
         if context is None:
             return []
         after = chunk.anchor > 0
@@ -295,7 +303,7 @@ def apply_chunk(
             )
             name = _render(target, surfaces)
             if name != target.origin:
-                results.append(normalize(name, mode))
+                results.append(name)
         return results
     k = len(chunk.deleted)
     for i in range(len(lemmas) - k + 1):
@@ -318,5 +326,5 @@ def apply_chunk(
             )
         name = _render(target, surfaces)
         if name != target.origin:
-            results.append(normalize(name, mode))
+            results.append(name)
     return results

@@ -224,7 +224,8 @@ def _cmd_recommend(args) -> int:
         new_name=args.new,
         index=0,
     )
-    (trigger,) = attach_chunks([trigger], args.mode, _lemmatizer(args))
+    lemmatizer = _lemmatizer(args)
+    (trigger,) = attach_chunks([trigger], args.mode, lemmatizer)
     if not trigger.chunks:
         raise CorenameError(
             f"no operational chunks between {args.old!r} and {args.new!r}"
@@ -236,7 +237,7 @@ def _cmd_recommend(args) -> int:
         profile=profile,
         mode=args.mode,
         min_score=args.min_score,
-        lemmatizer=_lemmatizer(args),
+        lemmatizer=lemmatizer,
     )
     if args.format == "json":
         payload = [

@@ -263,3 +263,6 @@ class FactsIndex:
         self.accesses_names = {(ent[mid].name, attr) for mid, attr in facts.accesses}
         self.assigns_names = {(lhs, rhs) for lhs, rhs, _form in facts.assigns}
         self.passes_names = {(formal, actual) for formal, actual, _form in facts.passes}
+        # (mode, lemmatizer) -> lemma -> entity names holding it; filled by
+        # the recommender on its first query, never here
+        self.names_by_lemma: dict[tuple, dict[str, list[str]]] = {}

@@ -5,10 +5,13 @@ implements clauses, fields, methods with parameters and return types,
 local variable declarations, assignments, method invocations with
 arguments, and field accesses.  Generic types contribute their outer name
 plus first-level type arguments.  Lambdas, anonymous class bodies,
-annotations, and deeper generic nesting are skipped in place; files that
-cannot be tokenized at all are skipped with a diagnostic.  A field or a
-bodiless method missing its ``;`` ends at the enclosing ``}``, so the
-class closes there and the members and classes after it are still read.
+annotations, and deeper generic nesting are skipped in place, except
+that the typed parameters of a lambda with two or more parameters are
+recorded as locals; files that cannot be tokenized at all are skipped with
+a diagnostic.  A statement may follow a ``case``/``default`` label's
+``:``.  A field or a bodiless method missing its ``;`` ends at the
+enclosing ``}``, so the class closes there and the members and classes
+after it are still read.
 
 Matching elsewhere is by name text, so the tables store entity ids for
 declarations and bare strings for references.
@@ -167,6 +170,20 @@ def _parse_type_ref(toks, i: int):
     while i + 1 < n and toks[i] == "[" and toks[i + 1] == "]":
         i += 2
     return i, outer, args
+
+
+def _typed_parameter(toks, i: int):
+    """A lambda parameter ``[final] Type name`` at toks[i], followed by
+    ``,`` or ``)``; returns (index of the name, outer, args) or None."""
+    while i < len(toks) and toks[i] == "final":
+        i += 1
+    ref = _parse_type_ref(toks, i)
+    if ref is None:
+        return None
+    j, outer, args = ref
+    if j + 1 < len(toks) and _is_name(toks[j]) and toks[j + 1] in (",", ")"):
+        return j, outer, args
+    return None
 
 
 def _strip_anonymous_bodies(body):
@@ -466,11 +483,18 @@ class _FileParser:
     def _scan_declarations(self, body, method_id, params, locals_, attrs):
         n = len(body)
         at_start = True
+        in_label = False  # between `case`/`default` and the label's `:`
         i = 0
         while i < n:
             t = body[i]
-            if t in (";", "{", "}", "("):
+            if t in (";", "{", "}", "(") or (in_label and t == ":"):
                 at_start = True
+                in_label = False
+                i += 1
+                continue
+            if at_start and t in ("case", "default"):
+                at_start = False
+                in_label = True
                 i += 1
                 continue
             if at_start and t == "final":
@@ -506,7 +530,12 @@ class _FileParser:
                 end = _expression_end(body, j + 1, (",", ";", ":"))
                 self._record_assigns(name, body[j + 1 : end], attrs, params, locals_)
                 j = end
-            if j + 1 < n and body[j] == "," and body[j + 1][0] in _NAME_START:
+            if j + 1 >= n or body[j] != ",":
+                return j
+            param = _typed_parameter(body, j + 1)
+            if param is not None:
+                j, outer, args = param
+            elif _is_name(body[j + 1]):
                 j += 1
             else:
                 return j

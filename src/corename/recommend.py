@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .chunks import apply_chunk
+from .chunks import anchor_lemma, apply_chunk
 from .errors import DegenerateResult, InvalidIdentifier, NoDataError
 from .facts.model import CodeFacts, EntityKind, RelationshipKind
 from .facts.relations import detect_relationships
@@ -137,6 +137,27 @@ class RecommendationCandidate:
         )
 
 
+def _names_by_lemma(
+    facts: CodeFacts, mode: str, lemmatizer: Lemmatizer | None
+) -> dict[str, list[str]]:
+    """Lemma -> the snapshot's distinct entity names holding it, built on
+    the first query per (mode, lemmatizer) and kept on the facts' index."""
+    index = facts.index
+    key = (mode, lemmatizer)
+    table = index.names_by_lemma.get(key)
+    if table is None:
+        table = {}
+        for name in index.by_name:
+            try:
+                lemmas = normalize(name, mode, lemmatizer).lemmas
+            except InvalidIdentifier:
+                continue
+            for lemma in dict.fromkeys(lemmas):
+                table.setdefault(lemma, []).append(name)
+        index.names_by_lemma[key] = table
+    return table
+
+
 def generate_candidates(
     rename: RenameRecord,
     facts: CodeFacts,
@@ -148,24 +169,32 @@ def generate_candidates(
     A candidate is produced per entity and distinct rewritten name; its
     relationships to the renamed identifier are detected once per entity.
     Entities whose names none of the chunks can rewrite are omitted, as is
-    the renamed identifier itself.
+    the renamed identifier itself.  Only entities whose names hold a
+    chunk's anchor lemma are visited, in entity-id order.
     """
+    table = _names_by_lemma(facts, mode, lemmatizer)
+    names = {
+        name
+        for lemma in {anchor_lemma(chunk) for chunk in rename.chunks}
+        for name in table.get(lemma, ())
+    }
+    names.discard(rename.old_name)
+    by_name = facts.index.by_name
+    entities = sorted(
+        (entity for name in names for entity in by_name[name]),
+        key=lambda entity: entity.id,
+    )
+    targets = {name: normalize(name, mode, lemmatizer) for name in names}
     candidates: dict[tuple[int, str], RecommendationCandidate] = {}
     relationships_cache: dict[str, frozenset[RelationshipKind]] = {}
-    for entity in facts.entities:
-        if entity.name == rename.old_name:
-            continue
-        try:
-            target = normalize(entity.name, mode, lemmatizer)
-        except InvalidIdentifier:
-            continue
+    for entity in entities:
+        target = targets[entity.name]
         proposals: list[str] = []
         for chunk in rename.chunks:
             try:
-                results = apply_chunk(chunk, target, mode)
+                proposals.extend(apply_chunk(chunk, target))
             except DegenerateResult:
                 continue
-            proposals.extend(r.origin for r in results)
         for proposed in proposals:
             key = (entity.id, proposed)
             if key in candidates:

@@ -500,6 +500,56 @@ def _show(repo: Path, commit: str, path: str) -> str | None:
     return proc.stdout if proc.returncode == 0 else None
 
 
+def generate_candidates_scan(rename, facts, mode="lemma", lemmatizer=None):
+    """``recommend.generate_candidates`` normalizing every entity of the
+    snapshot on every query.  Unchanged apart from its name, its imports,
+    its type annotations, and reading ``apply_chunk``'s results as the
+    names it now returns."""
+    from corename.chunks import apply_chunk
+    from corename.errors import DegenerateResult, InvalidIdentifier
+    from corename.facts.relations import detect_relationships
+    from corename.lexicon import normalize
+    from corename.recommend import RecommendationCandidate
+
+    candidates = {}
+    relationships_cache = {}
+    for entity in facts.entities:
+        if entity.name == rename.old_name:
+            continue
+        try:
+            target = normalize(entity.name, mode, lemmatizer)
+        except InvalidIdentifier:
+            continue
+        proposals = []
+        for chunk in rename.chunks:
+            try:
+                results = apply_chunk(chunk, target)
+            except DegenerateResult:
+                continue
+            proposals.extend(results)
+        for proposed in proposals:
+            key = (entity.id, proposed)
+            if key in candidates:
+                continue
+            if entity.name not in relationships_cache:
+                relationships_cache[entity.name] = frozenset(
+                    detect_relationships(facts, rename.old_name, entity.name)
+                )
+            candidates[key] = RecommendationCandidate(
+                target_name=entity.name,
+                target_kind=entity.kind,
+                file=entity.file,
+                container=(
+                    facts.qualified_path(facts.entities[entity.container])
+                    if entity.container is not None
+                    else None
+                ),
+                proposed_name=proposed,
+                relationships=relationships_cache[entity.name],
+            )
+    return list(candidates.values())
+
+
 # --- the fact extractor before its token scans were shared -----------------
 # ``extract_facts_reference`` and the two classes below it are the old
 # ``corename.facts.parser`` internals, unchanged apart from their names and

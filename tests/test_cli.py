@@ -10,6 +10,7 @@ import pytest
 
 import corename
 from corename.cli import run
+from corename.lexicon import Lemmatizer
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 FIG1 = Path(__file__).parent / "fixtures" / "fig1"
@@ -311,6 +312,40 @@ class TestRecommendCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["target"] == "getDisabledMetricTypes"
+
+    def test_lemma_table_read_once(self, tmp_path, monkeypatch, capsys):
+        # one Lemmatizer chunks the trigger and normalizes the candidates
+        table = tmp_path / "forms.txt"
+        table.write_text("types type\n")
+        reads = []
+        from_file = Lemmatizer.from_file
+
+        def counting(path):
+            reads.append(path)
+            return from_file(path)
+
+        monkeypatch.setattr(Lemmatizer, "from_file", staticmethod(counting))
+        rc = run(
+            [
+                "recommend",
+                "--src",
+                str(FIG1),
+                "--old",
+                "MetricType",
+                "--new",
+                "MetricAttribute",
+                "--kind",
+                "Class",
+                "--lemma-table",
+                str(table),
+                "--format",
+                "json",
+            ]
+        )
+        assert rc == 0
+        assert reads == [str(table)]
+        payload = json.loads(capsys.readouterr().out)
+        assert {c["target"] for c in payload} >= {"metricType", "getDisabledMetricTypes"}
 
 
 class TestConfigAndReport:

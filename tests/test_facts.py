@@ -1,6 +1,7 @@
 """Tests for the fact extractor and its JSON round trip."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,76 @@ class TestExtractFacts:
         )
         assert [row for row in facts.assigns if row[0] in ("q", "r")] == []
 
+    def test_typed_lambda_parameters_are_locals(self):
+        facts = extract_facts(
+            {
+                "T.java": """
+                class A {
+                    void m() {
+                        run((String a, final String b) -> a);
+                        run((Item c, List<Item> d) -> c);
+                    }
+                }
+                """
+            }
+        )
+        assert names(facts, EntityKind.VARIABLE) == ["a", "b", "c", "d"]
+        assert typed_names(facts) == {
+            ("a", "String"), ("b", "String"), ("c", "Item"), ("d", "List"), ("d", "Item")
+        }
+
+    def test_declarator_list_keeps_its_type(self):
+        facts = extract_facts(
+            {"T.java": "class A { void m() { int a, b = 1, c; } }"}
+        )
+        assert names(facts, EntityKind.VARIABLE) == ["a", "b", "c"]
+        assert typed_names(facts) == {("a", "int"), ("b", "int"), ("c", "int")}
+
+    def test_declarator_list_stops_at_a_keyword(self):
+        facts = extract_facts(
+            {"T.java": "class A { void m() { get(a < b, c > d, this.e); get(a < b, c > d, null); } }"}
+        )
+        assert names(facts, EntityKind.VARIABLE) == ["d", "d"]
+
+    def test_statements_after_case_and_default_labels(self):
+        facts = extract_facts(
+            {
+                "T.java": """
+                class A {
+                    int y;
+                    void m(int e) {
+                        switch (e) {
+                            case X: int k = y; break;
+                            case Y: case Z: q = e; break;
+                            default: int w = k;
+                        }
+                    }
+                }
+                """
+            }
+        )
+        assert names(facts, EntityKind.VARIABLE) == ["k", "w"]
+        assert ("k", "y", "attribute") in facts.assigns
+        assert ("q", "e", "parameter") in facts.assigns
+        assert ("w", "k", "variable") in facts.assigns
+
+    def test_ternary_and_for_each_colons_start_no_statement(self):
+        facts = extract_facts(
+            {
+                "T.java": """
+                class A {
+                    void m(boolean c, int[] xs) {
+                        int v = c ? a : b = 2;
+                        for (int x : xs) { }
+                        for (String s : names = list) { }
+                    }
+                }
+                """
+            }
+        )
+        assert names(facts, EntityKind.VARIABLE) == ["v", "x", "s"]
+        assert {row[0] for row in facts.assigns} == {"v"}
+
 
 def _fixture_sources(directory):
     return {
@@ -350,9 +421,12 @@ def _assert_same_as_reference(sources):
 
 
 # A Java subset grammar for the reference comparison.  It leaves out the
-# two inputs the rewrite reads differently on purpose: a member missing its
-# ';' and a 'this.' chain with a call before a later '.name' or with a
-# keyword after 'this.'.
+# inputs the rewrite reads differently on purpose: a member missing its
+# ';'; a 'this.' chain with a call before a later '.name' or with a keyword
+# after 'this.'; a keyword after the ',' that ends a declarator, as in the
+# generic-looking call 'm(a < b, c > d, this.e)'; typed lambda parameters;
+# and statements after a 'case' or 'default' label.
+_KEYWORD_LED = re.compile(r"(this|null|true|new)\b")
 _names = st.sampled_from(["a", "b", "count", "item", "node", "value"])
 _methods = st.sampled_from(["get", "put", "run", "size", "m"])
 _classes = st.sampled_from(["A", "B", "Item", "Node"])
@@ -408,7 +482,8 @@ def _extend(exprs):
         # comparisons that read like a generic type up to the last name
         st.builds(
             "{}({} < {}, {} > {}, {})".format,
-            _methods, _names, exprs, _names, _names, exprs,
+            _methods, _names, exprs, _names, _names,
+            exprs.filter(lambda e: not _KEYWORD_LED.match(e)),
         ),
         st.builds("({})".format, exprs),
     )

@@ -1,15 +1,21 @@
 """Tests for candidate generation and prior-weighted ranking."""
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corename.chunks import chunk_key, diff_chunks
-from corename.errors import NoDataError
-from corename.facts import RelationshipKind, extract_facts
+import corename.recommend
+from _oracles import generate_candidates_scan
+from corename.chunks import ChunkKind, apply_chunk, chunk_key, diff_chunks
+from corename.errors import DegenerateResult, InvalidIdentifier, NoDataError
+from corename.facts import RelationshipKind, extract_facts, extract_facts_from_dir
+from corename.facts.model import CodeFacts, Entity, EntityKind
 from corename.grouping import attach_chunks
-from corename.lexicon import normalize
-from corename.mining import IdentifierKind, RenameRecord
+from corename.lexicon import MODES, Lemmatizer, normalize
+from corename.mining import IdentifierKind, RenameRecord, load_rename_records_file
 from corename.recommend import (
     PriorProfile,
     build_prior_profile,
@@ -20,7 +26,8 @@ from corename.recommend import (
 )
 
 FIG1 = Path(__file__).parent / "fixtures" / "fig1" / "Metrics.java"
-SAMPLE = Path(__file__).parent / "fixtures" / "corpus" / "src" / "c02" / "Sample.java"
+CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+SAMPLE = CORPUS / "src" / "c02" / "Sample.java"
 
 
 def trigger(old, new, kind=IdentifierKind.CLASS):
@@ -248,3 +255,190 @@ class TestMultiChunkTrigger:
             "minimumVersionSpecCheck",
         }
         assert by_target["versionLabel"] == {"versionSpecLabel"}
+
+
+# --- the indexed candidate search against the scan it replaced -------------
+
+CUSTOM = Lemmatizer({"types": "kind", "attributes": "type", "nodes": "vertex"})
+FIXTURE_SNAPSHOTS = [FIG1.parent, *sorted((CORPUS / "src").iterdir())]
+
+
+def _triggers(mode, lemmatizer):
+    records = load_rename_records_file(CORPUS / "renames.jsonl")
+    return attach_chunks(records, mode, lemmatizer)
+
+
+def _assert_same_as_scan(rename, facts, mode, lemmatizer):
+    """The indexed candidates equal the scan's, order included, and a query
+    on a built index normalizes only the names holding an anchor lemma."""
+    want = generate_candidates_scan(rename, facts, mode, lemmatizer)
+    assert generate_candidates(rename, facts, mode, lemmatizer) == want
+    with mock.patch.object(corename.recommend, "normalize", wraps=normalize) as spy:
+        assert generate_candidates(rename, facts, mode, lemmatizer) == want
+    visited = sorted(call.args[0] for call in spy.call_args_list)
+    assert visited == _names_holding_anchor_lemmas(rename, facts, mode, lemmatizer)
+    return want
+
+
+def _names_holding_anchor_lemmas(rename, facts, mode, lemmatizer):
+    """The other names that hold the first deleted lemma of a Replace or
+    Delete chunk, or the word an Insert chunk goes next to.  Every name a
+    chunk can rewrite holds one."""
+    anchors = set()
+    for chunk in rename.chunks:
+        if chunk.kind in (ChunkKind.REPLACE, ChunkKind.DELETE):
+            anchors.add(chunk.deleted[0])
+        elif chunk.kind is ChunkKind.INSERT:
+            anchors.add(chunk.left_context if chunk.anchor > 0 else chunk.right_context)
+    names = set()
+    for name in {e.name for e in facts.entities} - {rename.old_name}:
+        try:
+            if anchors & set(normalize(name, mode, lemmatizer).lemmas):
+                names.add(name)
+        except InvalidIdentifier:
+            pass
+    return sorted(names)
+
+
+class TestSameCandidatesAsScan:
+    @pytest.mark.parametrize("lemmatizer", [None, CUSTOM], ids=["bundled", "custom"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("snapshot", FIXTURE_SNAPSHOTS, ids=lambda p: p.name)
+    def test_fixture_snapshots(self, snapshot, mode, lemmatizer):
+        facts = extract_facts_from_dir(snapshot)
+        found = 0
+        for rename in _triggers(mode, lemmatizer):
+            found += len(_assert_same_as_scan(rename, facts, mode, lemmatizer))
+        if snapshot in (FIG1.parent, CORPUS / "src" / "c01"):
+            assert found
+
+    def test_index_built_once_per_mode_and_lemmatizer(self):
+        # analyze builds FactsIndex for every snapshot: it must not pay
+        facts = extract_facts({"Metrics.java": FIG1.read_text()})
+        assert facts.index.names_by_lemma == {}
+        rename = trigger("MetricType", "MetricAttribute")
+        generate_candidates(rename, facts)
+        generate_candidates(rename, facts, "raw")
+        tables = dict(facts.index.names_by_lemma)
+        assert list(tables) == [("lemma", None), ("raw", None)]
+        generate_candidates(rename, facts)
+        generate_candidates(rename, facts, "raw", CUSTOM)
+        assert facts.index.names_by_lemma[("lemma", None)] is tables[("lemma", None)]
+        assert ("raw", CUSTOM) in facts.index.names_by_lemma
+        table = tables[("lemma", None)]
+        assert table["type"] == [
+            name for name in facts.index.by_name if "type" in normalize(name).lemmas
+        ]
+        assert all(type(n) is str for names in table.values() for n in names)
+
+    @pytest.mark.parametrize(
+        "old, new, shape",
+        [
+            ("version", "specVersion", "insert at anchor 0"),
+            ("dataProviderId", "dataProviderInstanceId", "insert after a word"),
+            ("getValue", "value", "delete emptying a target"),
+            ("metricType", "metricAttribute", "same name in two classes"),
+            ("gizmoType", "widgetType", "lemma no entity holds"),
+            ("metricCount", "countOfMetric", "trigger named like an entity"),
+            ("minimumVersion", "versionSpec", "two chunks"),
+            ("dataTypeName", "name", "delete of two words"),
+        ],
+    )
+    def test_edge_shapes(self, old, new, shape):
+        facts = _facts_of(
+            ("Metrics", ["MetricType", "get", "getValue", "getCount", "metricCount"]),
+            ("Reporter", ["MetricType", "versionNumber", "providerName", "get"]),
+            ("Spec", ["version", "minimumVersionCheck", "$tmp", "typeCount", "dataTypeId"]),
+        )
+        for mode in MODES:
+            rename = attach_chunks(
+                [RenameRecord("t", IdentifierKind.VARIABLE, old, new, index=0)], mode
+            )[0]
+            got = _assert_same_as_scan(rename, facts, mode, None)
+            if shape != "lemma no entity holds":
+                assert got, shape
+            else:
+                assert not got
+        if shape == "delete emptying a target":
+            with pytest.raises(DegenerateResult):
+                apply_chunk(rename.chunks[0], normalize("get"))
+        if shape == "same name in two classes":
+            assert {c.container for c in got if c.target_name == "MetricType"} == {
+                "Metrics", "Reporter"
+            }
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_generated(self, data):
+        facts = data.draw(_generated_facts())
+        names = [e.name for e in facts.entities]
+        old = data.draw(st.one_of(_identifiers, st.sampled_from(names)))
+        new = data.draw(_identifiers)
+        mode = data.draw(st.sampled_from(MODES))
+        lemmatizer = data.draw(st.sampled_from([None, CUSTOM]))
+        rename = attach_chunks(
+            [RenameRecord("t", IdentifierKind.METHOD, old, new, index=0)],
+            mode,
+            lemmatizer,
+        )[0]
+        _assert_same_as_scan(rename, facts, mode, lemmatizer)
+
+
+def _facts_of(*classes):
+    """Facts of classes given as (name, member names); members alternate
+    between attributes and methods."""
+    entities, contains = [], []
+    for class_name, members in classes:
+        class_id = len(entities)
+        entities.append(Entity(class_id, EntityKind.CLASS, class_name, None, "A.java"))
+        for position, name in enumerate(members):
+            kind = (EntityKind.ATTRIBUTE, EntityKind.METHOD)[position % 2]
+            entities.append(Entity(len(entities), kind, name, class_id, "A.java"))
+            contains.append((class_id, len(entities) - 1))
+    return CodeFacts(entities=tuple(entities), contains=tuple(contains))
+
+
+_WORDS = ["get", "metric", "metrics", "type", "types", "value", "node", "nodes",
+          "spec", "version", "id", "count", "gizmo", "widget"]
+_identifiers = st.builds(
+    lambda words, style: (
+        "_".join(w.upper() for w in words)
+        if style == "snake"
+        else (words[0] if style == "camel" else words[0].title())
+        + "".join(w.title() for w in words[1:])
+    ),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3),
+    st.sampled_from(["camel", "pascal", "snake"]),
+)
+_MEMBER_KINDS = [EntityKind.METHOD, EntityKind.ATTRIBUTE, EntityKind.PARAMETER,
+                 EntityKind.VARIABLE]
+
+
+@st.composite
+def _generated_facts(draw):
+    """Classes holding members, with names from a small vocabulary so that
+    many are shared, some invalid names, and assigns rows between names."""
+    entities = []
+    contains = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(_identifiers)
+        entities.append(Entity(len(entities), EntityKind.CLASS, name, None, "A.java"))
+    classes = len(entities)
+    members = st.tuples(
+        st.sampled_from(_MEMBER_KINDS),
+        st.one_of(_identifiers, st.sampled_from(["$tmp", "_"])),
+        st.integers(0, classes - 1),
+    )
+    for kind, name, parent in draw(st.lists(members, max_size=12)):
+        entities.append(Entity(len(entities), kind, name, parent, "A.java"))
+        contains.append((parent, len(entities) - 1))
+    names = [e.name for e in entities]
+    assigns = draw(
+        st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from(names), st.just("variable")),
+            max_size=4,
+        )
+    )
+    return CodeFacts(
+        entities=tuple(entities), contains=tuple(contains), assigns=tuple(assigns)
+    )
