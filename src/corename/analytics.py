@@ -20,6 +20,7 @@ from .grouping import (
     RenameSetCollection,
     attach_chunks,
     build_rename_sets,
+    chunk_by_mode,
     collection_difference,
     enumerate_pairs,
 )
@@ -181,7 +182,7 @@ def chunk_type_rates(
     lemmatizer: Lemmatizer | None = None,
 ) -> dict[ChunkKind, float]:
     """Share of each chunk kind over all chunk occurrences in the mode."""
-    return _chunk_rates(attach_chunks(list(records), mode, lemmatizer))
+    return _chunk_rates(attach_chunks(records, mode, lemmatizer))
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,7 @@ def inflection_impact(
     Relationship rates are computed only inside the newly created sets,
     i.e. lemma-mode sets whose membership matches no raw-mode set.
     """
-    chunked = {mode: attach_chunks(records, mode, lemmatizer) for mode in MODES}
-    return _inflection(chunked, _Detections(facts))
+    return _inflection(chunk_by_mode(records, MODES, lemmatizer), _Detections(facts))
 
 
 @dataclass(frozen=True)
@@ -362,12 +362,15 @@ def build_repo_stats(
 ) -> RepoStats:
     """Assemble the full report for one record stream and its collection.
 
-    Every rate is summed from per-set counts, each (snapshot, pair) is
-    detected once, and the records are chunked once per mode.
+    Every rate is summed from per-set counts, and each (snapshot, pair) is
+    detected once.  The records are chunked for both modes in one pass of
+    ``chunk_by_mode``: each name is split once, its lemma sequence comes
+    from that split, and each distinct pair of lemma sequences is diffed
+    once for both modes.
     """
     detections = _Detections(facts)
     counted = detections.count_sets(coll.sets)
-    chunked = {mode: attach_chunks(records, mode, lemmatizer) for mode in MODES}
+    chunked = chunk_by_mode(records, MODES, lemmatizer)
     return RepoStats(
         mode=coll.mode,
         record_count=len(records),

@@ -169,15 +169,22 @@ def diff_chunks(
 ) -> list[OperationalChunk]:
     """All operational chunks of the rename ``old -> new``.
 
-    Both sequences must have been normalized with the same ``mode``.  When
-    the lemma-level diff is empty, remaining per-word differences are
-    classified positionally: in lemma mode a case-insensitive difference is
-    Inflect and a case-only difference is Other; in raw mode any folded
-    difference is Other.
+    Both sequences must have been normalized with the same ``mode``.  The
+    chunks are those of ``diff_lemmas``, or of ``form_chunks`` when the
+    lemma-level diff is empty.
     """
-    chunks = diff_lemmas(old.lemmas, new.lemmas)
-    if chunks:
-        return chunks
+    return diff_lemmas(old.lemmas, new.lemmas) or form_chunks(old, new, mode)
+
+
+def form_chunks(
+    old: WordSequence, new: WordSequence, mode: str = "lemma"
+) -> list[OperationalChunk]:
+    """Per-word chunks of a rename whose lemma sequences are equal.
+
+    The differences are classified positionally: in lemma mode a
+    case-insensitive difference is Inflect and a case-only difference is
+    Other; in raw mode any folded difference is Other.
+    """
     if mode == "raw":
         if old.folded == new.folded:
             return []

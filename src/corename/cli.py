@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -350,12 +351,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Diagnostic(logging.Formatter):
+    """Renders a log record as ``corename: <level>: <message>``."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return f"corename: {record.levelname.lower()}: {record.getMessage()}"
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # the package's warnings go to stderr, prefixed like its errors
+    logger = logging.getLogger("corename")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_Diagnostic())
+    logger.addHandler(handler)
+    propagate, logger.propagate = logger.propagate, False
     try:
         _apply_config(args)
         return args.func(args)
@@ -365,6 +379,9 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"corename: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.propagate = propagate
 
 
 def main() -> None:

@@ -6,12 +6,12 @@ local variable declarations, assignments, method invocations with
 arguments, and field accesses.  Generic types contribute their outer name
 plus first-level type arguments.  Lambdas, anonymous class bodies,
 annotations, and deeper generic nesting are skipped in place, except
-that the typed parameters of a lambda with two or more parameters are
-recorded as locals; files that cannot be tokenized at all are skipped with
-a diagnostic.  A statement may follow a ``case``/``default`` label's
-``:``.  A field or a bodiless method missing its ``;`` ends at the
-enclosing ``}``, so the class closes there and the members and classes
-after it are still read.
+that the typed parameters of a lambda, one or more, are recorded as
+locals, as is the parameter of a single-type ``catch`` clause; files that
+cannot be tokenized at all are skipped with a diagnostic.  A statement may
+follow a ``case``/``default`` label's ``:``.  A field or a bodiless method
+missing its ``;`` ends at the enclosing ``}``, so the class closes there
+and the members and classes after it are still read.
 
 Matching elsewhere is by name text, so the tables store entity ids for
 declarations and bare strings for references.
@@ -184,6 +184,18 @@ def _typed_parameter(toks, i: int):
     if j + 1 < len(toks) and _is_name(toks[j]) and toks[j + 1] in (",", ")"):
         return j, outer, args
     return None
+
+
+def _sole_parameter(toks, i: int, j: int) -> bool:
+    """Whether the declarator toks[j], typed from toks[i], is the only
+    parameter of a catch clause, ``catch ([final] Type name)``, or of a
+    lambda, ``([final] Type name) ->``."""
+    k = i - 1
+    while k >= 0 and toks[k] == "final":
+        k -= 1
+    if k < 0 or toks[k] != "(" or toks[j + 1] != ")":
+        return False
+    return (k > 0 and toks[k - 1] == "catch") or toks[j + 2 : j + 3] == ["->"]
 
 
 def _strip_anonymous_bodies(body):
@@ -518,7 +530,9 @@ class _FileParser:
             return None
         j, outer, args = ref
         n = len(body)
-        if j + 1 >= n or not _is_name(body[j]) or body[j + 1] not in ("=", ";", ",", ":"):
+        if j + 1 >= n or not _is_name(body[j]):
+            return None
+        if body[j + 1] not in ("=", ";", ",", ":") and not _sole_parameter(body, i, j):
             return None
         while True:
             name = body[j]

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .chunks import diff_chunks
+from .chunks import OperationalChunk, diff_lemmas, form_chunks
 from .errors import InvalidIdentifier, ParseError
-from .lexicon import Lemmatizer, WordSequence, normalize
+from .lexicon import MODES, Lemmatizer, Vocabulary
 from .mining import RenameRecord, with_chunks
 
 logger = logging.getLogger(__name__)
@@ -48,33 +48,50 @@ class RenameSetCollection:
         return sum(len(s) for s in self.sets)
 
 
-def attach_chunks(
+def chunk_by_mode(
     records: Iterable[RenameRecord],
-    mode: str,
+    modes: Iterable[str] = MODES,
     lemmatizer: Lemmatizer | None = None,
-) -> list[RenameRecord]:
-    """Compute each record's operational chunks for the given mode.
+) -> dict[str, list[RenameRecord]]:
+    """Compute each record's operational chunks once per mode, in one pass.
 
-    Records whose names are not splittable identifiers keep an empty chunk
-    list (they then belong to no rename set) and are logged.  Each distinct
-    name is normalized once per call.
+    Each distinct name is split once and its lemma sequence is derived
+    from the split.  Each distinct pair of lemma sequences is diffed once
+    over all modes (in raw mode the lemmas are the folded words); when
+    that diff is empty, the record's Inflect/Other chunks come from its
+    words.  Records whose names are not splittable identifiers keep an
+    empty chunk list in every mode (they then belong to no rename set)
+    and are logged once.
     """
-    sequences: dict[str, WordSequence | InvalidIdentifier] = {}
+    modes = tuple(modes)
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode: {mode!r}")
+    vocabulary = Vocabulary(lemmatizer)
+    # name -> one (sequence, lemmas) per mode, or the reason it has none
+    sequences: dict[str, list | InvalidIdentifier] = {}
+    # (old lemmas, new lemmas) -> their diff_lemmas chunks
+    lemma_chunks: dict[tuple, tuple[OperationalChunk, ...]] = {}
 
     def words(name):
-        seq = sequences.get(name)
-        if seq is None:
+        found = sequences.get(name)
+        if found is None:
             try:
-                seq = normalize(name, mode, lemmatizer)
+                raw = vocabulary.split(name)
             except InvalidIdentifier as exc:
-                seq = exc
-            sequences[name] = seq
-        return seq
+                found = exc
+            else:
+                found = []
+                for mode in modes:
+                    seq = raw if mode == "raw" else vocabulary.lemmatized(raw)
+                    found.append((seq, seq.lemmas))
+            sequences[name] = found
+        return found
 
-    out = []
+    out: dict[str, list[RenameRecord]] = {mode: [] for mode in modes}
     for record in records:
-        old_seq, new_seq = words(record.old_name), words(record.new_name)
-        invalid = [s for s in (old_seq, new_seq) if isinstance(s, InvalidIdentifier)]
+        old, new = words(record.old_name), words(record.new_name)
+        invalid = [s for s in (old, new) if isinstance(s, InvalidIdentifier)]
         if invalid:
             logger.warning(
                 "skipping rename %s -> %s: %s",
@@ -82,10 +99,30 @@ def attach_chunks(
                 record.new_name,
                 invalid[0],
             )
-            out.append(with_chunks(record, ()))
-        else:
-            out.append(with_chunks(record, diff_chunks(old_seq, new_seq, mode)))
+            for mode in modes:
+                out[mode].append(with_chunks(record, ()))
+            continue
+        for mode, (old_seq, old_lemmas), (new_seq, new_lemmas) in zip(
+            modes, old, new
+        ):
+            key = (old_lemmas, new_lemmas)
+            chunks = lemma_chunks.get(key)
+            if chunks is None:
+                chunks = lemma_chunks[key] = tuple(diff_lemmas(*key))
+            if not chunks:
+                chunks = form_chunks(old_seq, new_seq, mode)
+            out[mode].append(with_chunks(record, chunks))
     return out
+
+
+def attach_chunks(
+    records: Iterable[RenameRecord],
+    mode: str,
+    lemmatizer: Lemmatizer | None = None,
+) -> list[RenameRecord]:
+    """Compute each record's operational chunks for the given mode; see
+    ``chunk_by_mode``."""
+    return chunk_by_mode(records, (mode,), lemmatizer)[mode]
 
 
 def build_rename_sets(

@@ -1,16 +1,24 @@
 """Identifier splitting and inflection-folding.
 
-Identifiers are split into words on underscores, lower-to-upper case
-transitions, letter/digit boundaries, and acronym-run ends.  Each word is
-case-folded and, in ``lemma`` mode, reduced to a base form so that
-``nodes``/``node`` or ``queries``/``query`` compare equal.  The lemmatizer
-stays within a part of speech: ``creator`` never becomes ``create``.
+An identifier is split into words by one regular expression, applied to
+the whole name: a word is an acronym run that ends before a capitalized
+word (``HTTP`` in ``HTTPServer``), a lowercase run with any capitals before
+it, a capital run, or a digit run.  Underscores match none of these, so
+they only separate words.  Each word is case-folded and, in ``lemma`` mode,
+reduced to a base form so that ``nodes``/``node`` or ``queries``/``query``
+compare equal.  The lemmatizer stays within a part of speech: ``creator``
+never becomes ``create``.
+
+Words are immutable and interned by a ``Vocabulary``: one ``Word`` per
+distinct surface, and one lemma-mode ``Word`` per surface, so a pass over
+many names folds, classifies and lemmatizes each distinct word once.  A
+lemma-mode sequence is derived from the raw one without splitting again.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InvalidIdentifier, ParseError
@@ -21,6 +29,9 @@ CASING_ALLCAPS = "ALLCAPS"
 CASING_MIXED = "mixed"
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# An acronym run before a capitalized word, a word with a lowercase tail,
+# a capital run, a digit run.
+_WORD_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]*[a-z]+|[A-Z]+|[0-9]+")
 
 MODES = ("raw", "lemma")
 
@@ -49,7 +60,7 @@ def re_case(word: str, casing: str) -> str:
     return word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """One word of an identifier.
 
@@ -63,7 +74,7 @@ class Word:
     casing: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordSequence:
     """The words of one identifier, in order, plus the raw identifier."""
 
@@ -86,32 +97,6 @@ class WordSequence:
         return len(self.words)
 
 
-def _word_boundaries(run: str) -> list[str]:
-    """Split one separator-free run at case and digit boundaries."""
-    parts: list[str] = []
-    start = 0
-    for i in range(1, len(run)):
-        prev, cur = run[i - 1], run[i]
-        boundary = False
-        if prev.islower() and cur.isupper():
-            boundary = True
-        elif prev.isdigit() != cur.isdigit():
-            boundary = True
-        elif (
-            prev.isupper()
-            and cur.isupper()
-            and i + 1 < len(run)
-            and run[i + 1].islower()
-        ):
-            # Acronym run followed by a capitalized word: HTTPServer -> HTTP, Server
-            boundary = True
-        if boundary:
-            parts.append(run[start:i])
-            start = i
-    parts.append(run[start:])
-    return parts
-
-
 def split_identifier(name: str) -> WordSequence:
     """Split a raw identifier into its word sequence.
 
@@ -121,22 +106,13 @@ def split_identifier(name: str) -> WordSequence:
     ('get', 'disabled', 'metric', 'types')
     >>> split_identifier("TIMES").folded
     ('times',)
+    >>> split_identifier("HTTPServer").surfaces
+    ('HTTP', 'Server')
 
     Raises InvalidIdentifier for empty, all-underscore, or non
     letter/digit/underscore input.
     """
-    if not name or not _IDENTIFIER_RE.match(name):
-        raise InvalidIdentifier(f"not a valid identifier: {name!r}")
-    words: list[Word] = []
-    for run in name.split("_"):
-        if not run:
-            continue
-        for part in _word_boundaries(run):
-            folded = part.lower()
-            words.append(Word(part, folded, folded, casing_of(part)))
-    if not words:
-        raise InvalidIdentifier(f"identifier has no words: {name!r}")
-    return WordSequence(origin=name, words=tuple(words))
+    return Vocabulary().split(name)
 
 
 def join_words(seq: WordSequence) -> str:
@@ -294,17 +270,73 @@ def pluralize(lemma: str) -> str:
     return lemma + "s"
 
 
+class _Interned(dict):
+    """A dict that makes the value of a missing key once, with ``make``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _raw_word(surface: str) -> Word:
+    folded = surface.lower()
+    return Word(surface, folded, folded, casing_of(surface))
+
+
+class Vocabulary:
+    """The words of one pass over many names, each made once.
+
+    Holds one raw ``Word`` per distinct surface and one lemma-mode
+    ``Word`` per distinct surface, the latter lemmatized with
+    ``lemmatizer`` (the bundled one by default).  Its tables grow only
+    with the distinct words it sees, and live as long as it does.
+    """
+
+    def __init__(self, lemmatizer: Lemmatizer | None = None):
+        self._lemmatizer = lemmatizer
+        self._raw = _Interned(_raw_word)
+        self._lemma = _Interned(self._lemma_word)
+
+    def split(self, name: str) -> WordSequence:
+        """The raw word sequence of ``name``; see ``split_identifier``."""
+        if not _IDENTIFIER_RE.match(name):
+            raise InvalidIdentifier(f"not a valid identifier: {name!r}")
+        words = tuple(map(self._raw.__getitem__, _WORD_RE.findall(name)))
+        if not words:
+            raise InvalidIdentifier(f"identifier has no words: {name!r}")
+        return WordSequence(name, words)
+
+    def _lemma_word(self, surface: str) -> Word:
+        word = self._raw[surface]
+        lemma = (self._lemmatizer or default_lemmatizer())(word.folded)
+        if lemma == word.folded:
+            return word
+        return Word(surface, word.folded, lemma, word.casing)
+
+    def lemmatized(self, seq: WordSequence) -> WordSequence:
+        """The lemma-mode sequence of a raw sequence from ``split``; the
+        same object when no word changes."""
+        words = tuple(map(self._lemma.__getitem__, seq.surfaces))
+        return seq if words == seq.words else WordSequence(seq.origin, words)
+
+    def normalize(self, name: str, mode: str = "lemma") -> WordSequence:
+        """The word sequence of ``name`` in ``mode``; see ``normalize``."""
+        if mode not in MODES:
+            raise ValueError(f"unknown mode: {mode!r}")
+        seq = self.split(name)
+        return seq if mode == "raw" else self.lemmatized(seq)
+
+
 def normalize(
     name: str,
     mode: str = "lemma",
     lemmatizer: Lemmatizer | None = None,
 ) -> WordSequence:
     """Split and case-fold an identifier; lemmatize in ``lemma`` mode."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
-    seq = split_identifier(name)
-    if mode == "raw":
-        return seq
-    lem = lemmatizer or default_lemmatizer()
-    words = tuple(replace(w, lemma=lem(w.folded)) for w in seq.words)
-    return WordSequence(origin=seq.origin, words=words)
+    return Vocabulary(lemmatizer).normalize(name, mode)

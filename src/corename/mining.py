@@ -14,10 +14,10 @@ import enum
 import json
 import subprocess
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .chunks import OperationalChunk
+from .chunks import OperationalChunk, chunk_key
 from .errors import ParseError, RepoError, UnknownKind
 from .facts.model import CodeFacts, EntityKind
 
@@ -44,8 +44,6 @@ class RenameRecord:
     index: int | None = field(default=None, compare=False)
 
     def chunk_keys(self) -> tuple[str, ...]:
-        from .chunks import chunk_key
-
         return tuple(dict.fromkeys(chunk_key(c) for c in self.chunks))
 
 
@@ -317,4 +315,13 @@ def walk_history(
 
 
 def with_chunks(record: RenameRecord, chunks) -> RenameRecord:
-    return replace(record, chunks=tuple(chunks))
+    return RenameRecord(
+        record.commit,
+        record.kind,
+        record.old_name,
+        record.new_name,
+        record.file,
+        record.container,
+        tuple(chunks),
+        record.index,
+    )

@@ -174,18 +174,85 @@ def co_occurs_m_scan(facts, m1, m2):
     return False
 
 
+# --- the word splitter before its regex split and interned words ----------
+# ``split_identifier_reference`` and ``normalize_reference`` are the old
+# ``corename.lexicon`` functions, unchanged apart from their names; the
+# ``Word``/``WordSequence`` types and ``casing_of`` are the production ones.
+
+
+def _word_boundaries(run: str) -> list[str]:
+    """Split one separator-free run at case and digit boundaries."""
+    parts: list[str] = []
+    start = 0
+    for i in range(1, len(run)):
+        prev, cur = run[i - 1], run[i]
+        boundary = False
+        if prev.islower() and cur.isupper():
+            boundary = True
+        elif prev.isdigit() != cur.isdigit():
+            boundary = True
+        elif (
+            prev.isupper()
+            and cur.isupper()
+            and i + 1 < len(run)
+            and run[i + 1].islower()
+        ):
+            # Acronym run followed by a capitalized word: HTTPServer -> HTTP, Server
+            boundary = True
+        if boundary:
+            parts.append(run[start:i])
+            start = i
+    parts.append(run[start:])
+    return parts
+
+
+def split_identifier_reference(name: str):
+    """Split a raw identifier into its word sequence."""
+    from corename.errors import InvalidIdentifier
+    from corename.lexicon import _IDENTIFIER_RE, Word, WordSequence, casing_of
+
+    if not name or not _IDENTIFIER_RE.match(name):
+        raise InvalidIdentifier(f"not a valid identifier: {name!r}")
+    words = []
+    for run in name.split("_"):
+        if not run:
+            continue
+        for part in _word_boundaries(run):
+            folded = part.lower()
+            words.append(Word(part, folded, folded, casing_of(part)))
+    if not words:
+        raise InvalidIdentifier(f"identifier has no words: {name!r}")
+    return WordSequence(origin=name, words=tuple(words))
+
+
+def normalize_reference(name: str, mode: str = "lemma", lemmatizer=None):
+    """Split and case-fold an identifier; lemmatize in ``lemma`` mode."""
+    from dataclasses import replace
+
+    from corename.lexicon import MODES, WordSequence, default_lemmatizer
+
+    if mode not in MODES:
+        raise ValueError(f"unknown mode: {mode!r}")
+    seq = split_identifier_reference(name)
+    if mode == "raw":
+        return seq
+    lem = lemmatizer or default_lemmatizer()
+    words = tuple(replace(w, lemma=lem(w.folded)) for w in seq.words)
+    return WordSequence(origin=seq.origin, words=words)
+
+
 def attach_chunks_per_record(records, mode, lemmatizer=None):
-    """``attach_chunks`` normalizing both names of every record afresh."""
+    """``attach_chunks`` splitting both names of every record afresh with
+    the old splitter, and diffing every record on its own."""
     from corename.chunks import diff_chunks
     from corename.errors import InvalidIdentifier
-    from corename.lexicon import normalize
     from corename.mining import with_chunks
 
     out = []
     for record in records:
         try:
-            old_seq = normalize(record.old_name, mode, lemmatizer)
-            new_seq = normalize(record.new_name, mode, lemmatizer)
+            old_seq = normalize_reference(record.old_name, mode, lemmatizer)
+            new_seq = normalize_reference(record.new_name, mode, lemmatizer)
         except InvalidIdentifier:
             out.append(with_chunks(record, ()))
             continue

@@ -240,6 +240,42 @@ class TestAnalyze:
         assert (CORPUS / "renames.jsonl").read_bytes() == before
 
 
+class TestSkipWarnings:
+    WARNING = (
+        "corename: warning: skipping rename get$x -> getX: "
+        "not a valid identifier: 'get$x'"
+    )
+
+    def test_one_prefixed_warning_per_invalid_record(self, tmp_path, facts_dir, capsys):
+        renames = tmp_path / "renames.jsonl"
+        renames.write_text(
+            (CORPUS / "renames.jsonl").read_text()
+            + '{"commit": "c01", "kind": "Method", "old": "get$x", "new": "getX"}\n'
+        )
+        sets = tmp_path / "sets.jsonl"
+        assert run(["group", "--renames", str(renames), "--out", str(sets)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "skipping rename" in line] == [self.WARNING]
+        rc = run(
+            [
+                "analyze", "--renames", str(renames), "--sets", str(sets),
+                "--facts-dir", str(facts_dir), "--out", str(tmp_path / "report"),
+            ]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "skipping rename" in line] == [self.WARNING]
+
+    def test_handler_removed_after_run(self, tmp_path):
+        import logging
+
+        logger = logging.getLogger("corename")
+        handlers, propagate = list(logger.handlers), logger.propagate
+        run(["mine", "--records", str(CORPUS / "renames.jsonl"), "--out", str(tmp_path / "r.jsonl")])
+        assert logger.handlers == handlers
+        assert logger.propagate == propagate
+
+
 class TestRecommendCommand:
     def test_json_format(self, capsys):
         rc = run(

@@ -1,0 +1,15 @@
+"""The ``>>>`` examples in the word and chunk modules run as tests."""
+
+import doctest
+
+import pytest
+
+import corename.chunks
+import corename.lexicon
+
+
+@pytest.mark.parametrize("module", [corename.lexicon, corename.chunks])
+def test_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

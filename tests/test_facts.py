@@ -352,6 +352,46 @@ class TestExtractFacts:
             ("a", "String"), ("b", "String"), ("c", "Item"), ("d", "List"), ("d", "Item")
         }
 
+    def test_catch_and_single_typed_lambda_parameters_are_locals(self):
+        facts = extract_facts(
+            {
+                "T.java": """
+                class A {
+                    int y;
+                    void m() {
+                        try { load(); } catch (IOException e) { y = e; }
+                        try { load(); } catch (final Failure f) { }
+                        run((String a) -> a);
+                        run((final List<Item> b) -> b);
+                    }
+                }
+                """
+            }
+        )
+        assert names(facts, EntityKind.VARIABLE) == ["e", "f", "a", "b"]
+        assert typed_names(facts) == {
+            ("y", "int"), ("e", "IOException"), ("f", "Failure"),
+            ("a", "String"), ("b", "List"), ("b", "Item"),
+        }
+        assert ("y", "e", "variable") in facts.assigns
+
+    def test_parenthesized_name_without_catch_or_arrow_is_no_local(self):
+        facts = extract_facts(
+            {
+                "T.java": """
+                class A {
+                    void m() {
+                        run((x) -> x);
+                        get((a < b, c > d));
+                        if ((T) u != null) { }
+                        run((Item) -> x);
+                    }
+                }
+                """
+            }
+        )
+        assert names(facts, EntityKind.VARIABLE) == []
+
     def test_declarator_list_keeps_its_type(self):
         facts = extract_facts(
             {"T.java": "class A { void m() { int a, b = 1, c; } }"}

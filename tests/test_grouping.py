@@ -4,18 +4,23 @@ import io
 import json
 from itertools import combinations
 
+import logging
+
 import pytest
+from hypothesis import given, strategies as st
 
 from _oracles import attach_chunks_per_record
 from corename.errors import ParseError
 from corename.grouping import (
     attach_chunks,
     build_rename_sets,
+    chunk_by_mode,
     collection_difference,
     enumerate_pairs,
     load_rename_sets,
     serialize_rename_sets,
 )
+from corename.lexicon import MODES, Lemmatizer
 from corename.mining import IdentifierKind, RenameRecord
 
 
@@ -214,6 +219,17 @@ def test_member_total_equals_distinct_chunk_key_count():
         assert coll.member_total() >= sum(1 for r in chunked if r.chunks)
 
 
+def _assert_same_as_per_record(records, lemmatizer=None):
+    chunked = chunk_by_mode(records, MODES, lemmatizer)
+    assert list(chunked) == list(MODES)
+    for mode in MODES:
+        want = attach_chunks_per_record(records, mode, lemmatizer)
+        for got in (chunked[mode], attach_chunks(records, mode, lemmatizer)):
+            assert [r.chunks for r in got] == [r.chunks for r in want], mode
+            assert [r.index for r in got] == [r.index for r in records]
+            assert got == want
+
+
 def test_attach_chunks_matches_per_record_normalize():
     from pathlib import Path
 
@@ -226,5 +242,51 @@ def test_attach_chunks_matches_per_record_normalize():
         record("c9", "fooBar", "foo$bar", index=len(records) + 1),
         record("c9", "nodes", "fooBar", index=len(records) + 2),
     ]
-    for mode in ("raw", "lemma"):
-        assert attach_chunks(records, mode) == attach_chunks_per_record(records, mode)
+    _assert_same_as_per_record(records)
+    _assert_same_as_per_record(records, Lemmatizer({"nodes": "vertex"}))
+
+
+# Names over a few words with inflected, cased and acronym forms, so that
+# records share words and lemma pairs, and some differ only in inflection
+# or casing.
+_WORDS = st.sampled_from(
+    ["node", "nodes", "Node", "NODES", "query", "queries", "Query", "type",
+     "Types", "get", "set", "HTTP", "server", "2", "ran", "run"]
+)
+_NAMES = st.one_of(
+    st.lists(_WORDS, min_size=1, max_size=4).map("".join),
+    st.lists(_WORDS, min_size=1, max_size=3).map("_".join),
+    st.sampled_from(["foo$bar", "___"]),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["c1", "c2"]), _NAMES, _NAMES), max_size=12
+    ),
+    st.booleans(),
+)
+def test_chunk_by_mode_matches_per_record_drawn(specs, custom):
+    records = [
+        record(commit, old, new, index=i) for i, (commit, old, new) in enumerate(specs)
+    ]
+    lemmatizer = Lemmatizer({"ran": "run", "nodes": "vertex"}) if custom else None
+    _assert_same_as_per_record(records, lemmatizer)
+
+
+def test_invalid_record_logged_once_for_both_modes(caplog):
+    records = [
+        record("c1", "foo$bar", "fooBar", index=0),
+        record("c1", "nodes", "items", index=1),
+    ]
+    with caplog.at_level(logging.WARNING, logger="corename"):
+        chunked = chunk_by_mode(records, MODES)
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping rename foo$bar -> fooBar: not a valid identifier: 'foo$bar'"
+    ]
+    assert all(chunked[mode][0].chunks == () for mode in MODES)
+
+
+def test_unknown_mode():
+    with pytest.raises(ValueError):
+        chunk_by_mode([], ("stem",))

@@ -1,11 +1,18 @@
 """Tests for identifier splitting and lemmatization."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import normalize_reference, split_identifier_reference
 from corename.errors import InvalidIdentifier, ParseError
+from corename.facts.parser import tokenize
 from corename.lexicon import (
+    MODES,
     Lemmatizer,
+    Vocabulary,
     casing_of,
     default_lemmatizer,
     join_words,
@@ -14,6 +21,8 @@ from corename.lexicon import (
     pluralize,
     split_identifier,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestSplitIdentifier:
@@ -207,3 +216,123 @@ def test_fold_preserves_word_count(name):
 def test_split_total_and_deterministic(name):
     assert split_identifier(name).surfaces == split_identifier(name).surfaces
     assert all(seq for seq in split_identifier(name).surfaces)
+
+
+# --- the regex split against the per-character splitter it replaced ---------
+
+# Letters of both cases, digits, underscores and acronym runs; "$" and "-"
+# make some draws invalid, so rejections are compared too.
+_PIECES = st.one_of(
+    st.sampled_from(list("aAbBzZ09_")),
+    st.sampled_from(
+        ["HTTP", "Server", "GMetric", "Type", "XML", "Http", "ID", "URLs",
+         "nodes", "Queries", "v2", "IO", "x", "__", "$", "-"]
+    ),
+)
+_DRAWN = st.lists(_PIECES, min_size=0, max_size=12).map("".join)
+_CUSTOM = Lemmatizer({"nodes": "vertex", "http": "web", "a": "b"})
+
+
+def _fixture_names():
+    names = set()
+    for path in sorted(FIXTURES.rglob("*.jsonl")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.strip():
+                obj = json.loads(line)
+                names.update((obj["old"], obj["new"]))
+    for path in sorted(FIXTURES.rglob("*.java")):
+        names.update(
+            t for t in tokenize(path.read_text(encoding="utf-8"))
+            if t[0].isalpha() or t[0] in "_$"
+        )
+    return sorted(names)
+
+
+def _view(seq):
+    return (
+        seq.origin,
+        seq.surfaces,
+        seq.folded,
+        seq.lemmas,
+        tuple(w.casing for w in seq.words),
+    )
+
+
+def _assert_same_as_reference(name, normalize_fn, lemmatizer):
+    for mode in MODES:
+        try:
+            want = normalize_reference(name, mode, lemmatizer)
+        except InvalidIdentifier as exc:
+            with pytest.raises(InvalidIdentifier) as caught:
+                normalize_fn(name, mode)
+            assert str(caught.value) == str(exc)
+            continue
+        got = normalize_fn(name, mode)
+        assert _view(got) == _view(want), (name, mode)
+        assert got == want
+
+
+def _assert_names_same_as_reference(names, lemmatizer=None):
+    shared = Vocabulary(lemmatizer)  # one interning table for every name
+    for name in names:
+        try:
+            want = split_identifier_reference(name)
+        except InvalidIdentifier as exc:
+            with pytest.raises(InvalidIdentifier) as caught:
+                split_identifier(name)
+            assert str(caught.value) == str(exc)
+        else:
+            assert _view(split_identifier(name)) == _view(want)
+        _assert_same_as_reference(
+            name, lambda n, mode: normalize(n, mode, lemmatizer), lemmatizer
+        )
+        _assert_same_as_reference(name, shared.normalize, lemmatizer)
+
+
+class TestSameAsReferenceSplitter:
+    def test_fixture_names(self):
+        names = _fixture_names()
+        assert len(names) > 100
+        _assert_names_same_as_reference(names)
+        _assert_names_same_as_reference(names, _CUSTOM)
+
+    def test_acronym_runs(self):
+        names = ["HTTPServer", "GMetricType", "XMLHttpRequest", "getHTTPS",
+                 "HTTP2Server", "IOError_HTTP", "aBCd", "ABc", "URLs"]
+        _assert_names_same_as_reference(names)
+        assert split_identifier("HTTPServer").surfaces == ("HTTP", "Server")
+
+    @given(st.lists(_DRAWN, max_size=8))
+    def test_drawn_names(self, names):
+        _assert_names_same_as_reference(names)
+
+    @given(st.lists(_DRAWN, max_size=8))
+    def test_drawn_names_custom_lemmatizer(self, names):
+        _assert_names_same_as_reference(names, _CUSTOM)
+
+
+class TestVocabulary:
+    def test_words_are_interned(self):
+        vocabulary = Vocabulary()
+        first = vocabulary.normalize("nodeCount", "raw")
+        second = vocabulary.normalize("maxNodes_node", "raw")
+        assert first.words[0] is second.words[2]
+
+    def test_lemmatizer_runs_once_per_word(self):
+        calls = []
+
+        def lemmatizer(word):
+            calls.append(word)
+            return default_lemmatizer()(word)
+
+        vocabulary = Vocabulary(lemmatizer)
+        for name in ["nodeCount", "NodeCount", "nodes", "nodeNodes"]:
+            vocabulary.normalize(name, "lemma")
+        # once per distinct surface: node, Count, Node, nodes, Nodes
+        assert sorted(calls) == ["count", "node", "node", "nodes", "nodes"]
+
+    def test_unchanged_lemma_sequence_is_the_raw_one(self):
+        vocabulary = Vocabulary()
+        raw = vocabulary.split("nodeCount")
+        assert vocabulary.lemmatized(raw) is raw
+        assert vocabulary.lemmatized(vocabulary.split("nodes")).lemmas == ("node",)
