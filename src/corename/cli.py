@@ -16,30 +16,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analytics import build_repo_stats, emit_report, load_report
 from .errors import CorenameError, ParseError
-from .facts import extract_facts, extract_facts_from_dir
-from .facts.model import CodeFacts
+from .facts.model import CodeFacts, IdentifierKind
 from .fileio import atomic_write
-from .grouping import (
-    attach_chunks,
-    build_rename_sets,
-    load_rename_sets,
-    serialize_rename_sets,
-)
-from .lexicon import Lemmatizer
-from .mining import (
-    IdentifierKind,
-    RenameRecord,
-    detect_renames,
-    load_rename_records_file,
-    serialize_rename_records,
-    walk_history,
-)
-from .recommend import PriorProfile, default_profile, recommend
+
+# Each command imports the corename modules it runs in its first lines, so a
+# process loads only what its command needs.
 
 
-def _lemmatizer(args) -> Lemmatizer | None:
+def _lemmatizer(args):
+    from .lexicon import Lemmatizer
+
     table = getattr(args, "lemma_table", None)
     return Lemmatizer.from_file(table) if table else None
 
@@ -108,12 +95,17 @@ def _write_lines(path, render) -> None:
 
 
 def _cmd_mine(args) -> int:
+    from .mining import load_rename_records_file, serialize_rename_records
+
     if bool(args.repo) == bool(args.records):
         raise CorenameError("exactly one of --repo or --records is required")
     work = None
     if args.records:
         records = load_rename_records_file(args.records)
     else:
+        from .facts import extract_facts
+        from .mining import RenameRecord, detect_renames, walk_history
+
         records: list[RenameRecord] = []
         commits = compared = skipped = 0
         for commit in walk_history(args.repo):
@@ -143,6 +135,9 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_group(args) -> int:
+    from .grouping import attach_chunks, build_rename_sets, serialize_rename_sets
+    from .mining import load_rename_records_file
+
     mode = args.mode
     records = load_rename_records_file(args.renames)
     chunked = attach_chunks(records, mode, _lemmatizer(args))
@@ -157,13 +152,13 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_facts(args) -> int:
+    from .facts import extract_facts_from_dir
+
     suffixes = tuple(args.suffix) if args.suffix else (".java",)
     facts = extract_facts_from_dir(args.src, suffixes=suffixes)
     for file, reason in facts.skipped:
         print(f"skipped {file}: {reason}", file=sys.stderr)
-    atomic_write(
-        args.out, json.dumps(facts.to_json(), indent=2, sort_keys=True) + "\n"
-    )
+    facts.save(args.out)
     print(
         f"wrote {len(facts.entities)} entities to {args.out}", file=sys.stderr
     )
@@ -171,6 +166,8 @@ def _cmd_facts(args) -> int:
 
 
 def _load_facts_dir(directory) -> dict[str, CodeFacts]:
+    if not Path(directory).is_dir():
+        raise CorenameError(f"{directory}: not a directory")
     facts: dict[str, CodeFacts] = {}
     for path in sorted(Path(directory).glob("*.json")):
         facts[path.stem] = CodeFacts.load(path)
@@ -178,6 +175,10 @@ def _load_facts_dir(directory) -> dict[str, CodeFacts]:
 
 
 def _cmd_analyze(args) -> int:
+    from .analytics import build_repo_stats, emit_report
+    from .grouping import load_rename_sets
+    from .mining import load_rename_records_file
+
     mode = args.mode
     records = load_rename_records_file(args.renames)
     with open(args.sets, encoding="utf-8") as fh:
@@ -217,6 +218,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
+    from .facts import extract_facts_from_dir
+    from .grouping import attach_chunks
+    from .mining import RenameRecord
+    from .recommend import PriorProfile, default_profile, recommend
+
     facts = extract_facts_from_dir(args.src)
     trigger = RenameRecord(
         commit="(pending)",
@@ -263,6 +269,8 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .analytics import emit_report, load_report
+
     stats = load_report(args.stats)
     written = emit_report(stats, args.out, plots=args.plots)
     print("wrote " + ", ".join(str(p) for p in written), file=sys.stderr)

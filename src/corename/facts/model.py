@@ -6,13 +6,23 @@ import enum
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from ..errors import ParseError
+from ..fileio import atomic_write
 
 
 class EntityKind(str, enum.Enum):
     CLASS = "Class"
     INTERFACE = "Interface"
+    METHOD = "Method"
+    ATTRIBUTE = "Attribute"
+    PARAMETER = "Parameter"
+    VARIABLE = "Variable"
+
+
+class IdentifierKind(str, enum.Enum):
+    CLASS = "Class"
     METHOD = "Method"
     ATTRIBUTE = "Attribute"
     PARAMETER = "Parameter"
@@ -143,7 +153,8 @@ class CodeFacts:
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"entity {position}: {exc}") from None
             if not (
-                entity.id == position
+                type(entity.id) is int
+                and entity.id == position
                 and isinstance(entity.name, str)
                 and isinstance(entity.file, str)
                 and (entity.container is None or _is_id(entity.container, len(listed)))
@@ -155,10 +166,49 @@ class CodeFacts:
             **{key: _rows(data, key, len(entities)) for key in _COLUMNS},
         )
 
+    def dumps(self) -> str:
+        """The facts file text: exactly ``json.dumps(self.to_json(),
+        indent=2, sort_keys=True) + "\\n"``, written row by row.
+
+        ``json.dumps`` with an indent runs its pure-Python encoder over a
+        dict built for the purpose; this fills one template per row
+        instead, quoting with the same C function.  Table columns hold ints
+        and strings, as the parser and ``from_json`` make them.
+        """
+        quote = encode_basestring_ascii
+        tables = {
+            "entities": [
+                _ENTITY_JSON
+                % (
+                    "null" if e.container is None else e.container,
+                    quote(e.file),
+                    e.id,
+                    quote(e.kind.value),
+                    quote(e.name),
+                )
+                for e in self.entities
+            ]
+        }
+        for key, columns in _COLUMNS.items():
+            # quote each string column in one pass, then fill a row template
+            cells = [
+                map(quote, column) if kind == "s" else column
+                for kind, column in zip(columns, zip(*getattr(self, key)))
+            ]
+            row = "[\n      " + ",\n      ".join(["%s"] * len(columns)) + "\n    ]"
+            tables[key] = [row % values for values in zip(*cells)]
+        return (
+            "{\n"
+            + ",\n".join(
+                f'  "{key}": '
+                + ("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
+                for key, items in sorted(tables.items())
+            )
+            + "\n}\n"
+        )
+
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write(path, self.dumps())
 
     @classmethod
     def load(cls, path) -> "CodeFacts":
@@ -173,6 +223,12 @@ class CodeFacts:
             except ParseError as exc:
                 raise ParseError(str(exc), source=path) from None
 
+
+# one entity as json.dumps renders it at depth 2, keys sorted
+_ENTITY_JSON = (
+    '{\n      "container": %s,\n      "file": %s,\n      "id": %s,'
+    '\n      "kind": %s,\n      "name": %s\n    }'
+)
 
 # column types of each table row: "i" an entity id, "s" a name
 _COLUMNS = {
@@ -227,11 +283,14 @@ def _well_formed(table: list, columns: str, count: int) -> bool:
 
 
 class FactsIndex:
-    """Name-keyed lookups over a CodeFacts instance (built lazily once)."""
+    """Name-keyed lookups over a CodeFacts instance (built lazily once).
+
+    It keeps no reference to its facts, which hold it: without a cycle, a
+    snapshot and its index are freed as soon as the last user drops them.
+    """
 
     def __init__(self, facts: CodeFacts):
         ent = facts.entities
-        self.facts = facts
         self.by_name: dict[str, list[Entity]] = defaultdict(list)
         for e in ent:
             self.by_name[e.name].append(e)

@@ -24,6 +24,7 @@ import re
 import string
 from pathlib import Path
 
+from ..errors import CorenameError
 from .model import CodeFacts, Entity, EntityKind
 
 logger = logging.getLogger(__name__)
@@ -721,6 +722,10 @@ def extract_facts_from_paths(paths, root: Path | None = None) -> CodeFacts:
 
 
 def extract_facts_from_dir(directory, suffixes=(".java",)) -> CodeFacts:
+    """Facts of the source files under ``directory`` with one of
+    ``suffixes``; raises CorenameError when it is not a directory."""
     root = Path(directory)
+    if not root.is_dir():
+        raise CorenameError(f"{directory}: not a directory")
     paths = sorted(p for p in root.rglob("*") if p.suffix in suffixes and p.is_file())
     return extract_facts_from_paths(paths, root=root)

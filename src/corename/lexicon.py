@@ -289,6 +289,13 @@ def _raw_word(surface: str) -> Word:
     return Word(surface, folded, folded, casing_of(surface))
 
 
+def _lemma_word(word: Word, lemmatizer: Lemmatizer | None) -> Word:
+    lemma = (lemmatizer or default_lemmatizer())(word.folded)
+    if lemma == word.folded:
+        return word
+    return Word(word.surface, word.folded, lemma, word.casing)
+
+
 class Vocabulary:
     """The words of one pass over many names, each made once.
 
@@ -299,9 +306,10 @@ class Vocabulary:
     """
 
     def __init__(self, lemmatizer: Lemmatizer | None = None):
-        self._lemmatizer = lemmatizer
-        self._raw = _Interned(_raw_word)
-        self._lemma = _Interned(self._lemma_word)
+        raw = self._raw = _Interned(_raw_word)
+        # no reference back to self, so a vocabulary is freed as soon as
+        # its last user drops it, not at the next full garbage collection
+        self._lemma = _Interned(lambda surface: _lemma_word(raw[surface], lemmatizer))
 
     def split(self, name: str) -> WordSequence:
         """The raw word sequence of ``name``; see ``split_identifier``."""
@@ -311,13 +319,6 @@ class Vocabulary:
         if not words:
             raise InvalidIdentifier(f"identifier has no words: {name!r}")
         return WordSequence(name, words)
-
-    def _lemma_word(self, surface: str) -> Word:
-        word = self._raw[surface]
-        lemma = (self._lemmatizer or default_lemmatizer())(word.folded)
-        if lemma == word.folded:
-            return word
-        return Word(surface, word.folded, lemma, word.casing)
 
     def lemmatized(self, seq: WordSequence) -> WordSequence:
         """The lemma-mode sequence of a raw sequence from ``split``; the

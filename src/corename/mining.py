@@ -10,7 +10,6 @@ within an unchanged container).
 from __future__ import annotations
 
 import contextlib
-import enum
 import json
 import subprocess
 import tempfile
@@ -19,15 +18,7 @@ from typing import Iterable, Iterator
 
 from .chunks import OperationalChunk, chunk_key
 from .errors import ParseError, RepoError, UnknownKind
-from .facts.model import CodeFacts, EntityKind
-
-
-class IdentifierKind(str, enum.Enum):
-    CLASS = "Class"
-    METHOD = "Method"
-    ATTRIBUTE = "Attribute"
-    PARAMETER = "Parameter"
-    VARIABLE = "Variable"
+from .facts.model import CodeFacts, EntityKind, IdentifierKind
 
 
 @dataclass(frozen=True)

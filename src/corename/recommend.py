@@ -18,7 +18,7 @@ from .chunks import anchor_lemma, apply_chunk
 from .errors import DegenerateResult, InvalidIdentifier, NoDataError
 from .facts.model import CodeFacts, EntityKind, RelationshipKind
 from .facts.relations import detect_relationships
-from .lexicon import Lemmatizer, normalize
+from .lexicon import Lemmatizer, Vocabulary, normalize
 from .mining import IdentifierKind, RenameRecord
 
 # Tie-break order across entity kinds for equal scores.
@@ -141,15 +141,18 @@ def _names_by_lemma(
     facts: CodeFacts, mode: str, lemmatizer: Lemmatizer | None
 ) -> dict[str, list[str]]:
     """Lemma -> the snapshot's distinct entity names holding it, built on
-    the first query per (mode, lemmatizer) and kept on the facts' index."""
+    the first query per (mode, lemmatizer) and kept on the facts' index.
+    The names are split through one ``Vocabulary``, so each distinct word
+    is lemmatized once per build."""
     index = facts.index
     key = (mode, lemmatizer)
     table = index.names_by_lemma.get(key)
     if table is None:
         table = {}
+        vocabulary = Vocabulary(lemmatizer)
         for name in index.by_name:
             try:
-                lemmas = normalize(name, mode, lemmatizer).lemmas
+                lemmas = vocabulary.normalize(name, mode).lemmas
             except InvalidIdentifier:
                 continue
             for lemma in dict.fromkeys(lemmas):

@@ -6,6 +6,7 @@ yardsticks the production diff is measured against.
 """
 
 import itertools
+import json
 import re
 import subprocess
 from collections import Counter, defaultdict
@@ -172,6 +173,11 @@ def co_occurs_m_scan(facts, m1, m2):
         elif m1 in methods and m2 in methods:
             return True
     return False
+
+
+def facts_json_reference(facts):
+    """A facts file's text as the CLI wrote it before ``CodeFacts.dumps``."""
+    return json.dumps(facts.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 # --- the word splitter before its regex split and interned words ----------

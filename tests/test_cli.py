@@ -94,6 +94,79 @@ class TestExitCodes:
         out = analyze(tmp_path, facts_dir, "report")
         assert (out / "report.json").exists()
 
+    @pytest.mark.parametrize("src", ["missing", "A.java"])
+    def test_facts_src_not_a_directory(self, tmp_path, capsys, src):
+        (tmp_path / "A.java").write_text("class A { }")
+        out = tmp_path / "facts.json"
+        assert run(["facts", "--src", str(tmp_path / src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"corename: error: {tmp_path / src}: not a directory" in err
+        assert not out.exists()
+
+    def test_recommend_src_not_a_directory(self, tmp_path, capsys):
+        argv = ["recommend", "--src", str(tmp_path / "missing"), "--old", "metricType",
+                "--new", "metricAttribute", "--kind", "Attribute"]
+        assert run(argv) == 2
+        assert f"{tmp_path / 'missing'}: not a directory" in capsys.readouterr().err
+
+    def test_analyze_facts_dir_missing(self, tmp_path, capsys):
+        # no silent fallback to empty facts for every commit
+        sets, missing, out = tmp_path / "sets.jsonl", tmp_path / "facts", tmp_path / "report"
+        renames = str(CORPUS / "renames.jsonl")
+        assert run(["group", "--renames", renames, "--out", str(sets)]) == 0
+        argv = ["analyze", "--renames", renames, "--sets", str(sets),
+                "--facts-dir", str(missing), "--out", str(out)]
+        assert run(argv) == 2
+        assert f"corename: error: {missing}: not a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _env_with_src():
+    """The environment with this corename's sources first on PYTHONPATH."""
+    src = str(Path(corename.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+
+# runs the CLI in a fresh interpreter and prints the corename modules it loaded
+_MODULES_PROBE = (
+    "import sys; from corename.cli import run; code = run(sys.argv[1:]); "
+    "print(code, *sorted(m for m in sys.modules if m.startswith('corename.')))"
+)
+
+
+class TestModulesPerCommand:
+    """Each command loads only the modules it runs: one stray top-level
+    import would bring start-up cost back to every process."""
+
+    def loaded(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, *map(str, argv)],
+            capture_output=True, text=True, env=_env_with_src(),
+        )
+        code, *modules = proc.stdout.split()
+        assert code == "0", proc.stderr
+        return {m.removeprefix("corename.") for m in modules}
+
+    def test_modules_per_command(self, tmp_path):
+        renames, sets, facts = tmp_path / "renames.jsonl", tmp_path / "sets.jsonl", tmp_path / "facts"
+        loaded = self.loaded("facts", "--src", CORPUS / "src" / "c01", "--out", facts / "c01.json")
+        assert {"facts.parser", "facts.model", "fileio"} <= loaded
+        assert not loaded & {"analytics", "grouping", "recommend", "mining", "chunks",
+                             "lexicon", "facts.relations"}
+        loaded = self.loaded("mine", "--records", CORPUS / "renames.jsonl", "--out", renames)
+        assert "mining" in loaded
+        assert not loaded & {"analytics", "grouping", "recommend", "facts.parser",
+                             "facts.relations"}
+        loaded = self.loaded("group", "--renames", renames, "--out", sets)
+        assert "grouping" in loaded
+        assert not loaded & {"analytics", "recommend", "facts.parser", "facts.relations"}
+        loaded = self.loaded("analyze", "--renames", renames, "--sets", sets,
+                             "--facts-dir", facts, "--out", tmp_path / "report")
+        assert {"analytics", "facts.relations"} <= loaded
+        assert not loaded & {"recommend", "facts.parser"}
+
 
 def git(repo, *args):
     subprocess.run(
@@ -122,10 +195,7 @@ class TestMine:
 
     @pytest.mark.parametrize("module", ["corename", "corename.cli"])
     def test_python_dash_m(self, tmp_path, module):
-        src = str(Path(corename.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        )}
+        env = _env_with_src()
         out = tmp_path / "renames.jsonl"
         command = [sys.executable, "-m", module, "mine", "--out", str(out), "--records"]
         proc = subprocess.run(

@@ -1,16 +1,19 @@
 """Tests for the fact extractor and its JSON round trip."""
 
+import gc
 import json
+import weakref
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import extract_facts_reference
-from corename.errors import ParseError
+from _oracles import extract_facts_reference, facts_json_reference
+from corename.errors import CorenameError, ParseError
 from corename.facts import (
     CodeFacts,
+    Entity,
     EntityKind,
     extract_facts,
     extract_facts_from_dir,
@@ -676,12 +679,94 @@ class TestFactsJson:
         assert str(caught.value).startswith(f"{path}: ")
         assert message in str(caught.value)
 
+    @pytest.mark.parametrize("id_value", ["true", "1.0"])
+    def test_entity_id_must_be_an_int(self, tmp_path, id_value):
+        path = tmp_path / "c01.json"
+        entity = '{"id": %s, "kind": "Class", "name": "B", "container": null, "file": "B.java"}'
+        path.write_text(
+            '{"entities": [%s, %s]}' % (entity % "0", entity % id_value)
+        )
+        with pytest.raises(ParseError, match="entity 1: malformed"):
+            CodeFacts.load(path)
+
     def test_json_is_plain_data(self, tmp_path):
         facts = extract_facts({"Metrics.java": FIG_SOURCE})
         path = tmp_path / "facts.json"
         facts.save(path)
         data = json.loads(path.read_text())
         assert {"entities", "typed", "returns", "passes"} <= set(data)
+
+
+# names, files and skip reasons: non-ASCII, quotes, backslashes, newlines
+_facts_text = st.text(
+    st.one_of(st.sampled_from('"\\\n\té中\U0001f600'), st.characters()), max_size=6
+)
+
+
+@st.composite
+def _drawn_facts(draw):
+    count = draw(st.integers(0, 5))
+    entities = tuple(
+        Entity(
+            id=i,
+            kind=draw(st.sampled_from(EntityKind)),
+            name=draw(_facts_text),
+            container=draw(st.none() | st.integers(0, count - 1)),
+            file=draw(_facts_text),
+        )
+        for i in range(count)
+    )
+    cell = {"i": st.integers(0, count - 1), "s": _facts_text}
+    tables = {}
+    for key, columns in {
+        "contains": "ii", "extends": "is", "implements": "is", "typed": "is",
+        "returns": "is", "invokes": "is", "accesses": "is", "assigns": "sss",
+        "passes": "sss", "skipped": "ss",
+    }.items():
+        if count or "i" not in columns:
+            rows = st.tuples(*(cell[column] for column in columns))
+            tables[key] = tuple(draw(st.lists(rows, max_size=3)))
+    return CodeFacts(entities=entities, **tables)
+
+
+class TestDumpsMatchesReference:
+    """``CodeFacts.dumps`` against ``json.dumps`` of ``to_json``, byte for byte."""
+
+    @pytest.mark.parametrize("tree", ["corpus/src", "fig1"])
+    def test_fixture_trees(self, tree):
+        facts = extract_facts_from_dir(FIXTURES / tree)
+        assert facts.entities and facts.typed
+        assert facts.dumps() == facts_json_reference(facts)
+
+    def test_empty_facts(self):
+        assert CodeFacts().dumps() == facts_json_reference(CodeFacts())
+
+    @settings(max_examples=200, deadline=None)
+    @given(_drawn_facts())
+    def test_drawn_facts(self, facts):
+        text = facts.dumps()
+        assert text == facts_json_reference(facts)
+        assert CodeFacts.from_json(json.loads(text)) == facts
+
+    def test_save_writes_dumps(self, tmp_path):
+        facts = extract_facts({"Metrics.java": FIG_SOURCE})
+        path = tmp_path / "new" / "facts.json"
+        facts.save(path)
+        assert path.read_bytes() == facts.dumps().encode("ascii")
+
+
+def test_facts_with_index_freed_without_the_cycle_collector():
+    # a process that replaces its snapshot must not keep the old one, index
+    # and recommender tables included, until a full garbage collection
+    facts = extract_facts({"Metrics.java": FIG_SOURCE})
+    assert facts.index.by_name
+    freed = weakref.ref(facts)
+    gc.disable()
+    try:
+        del facts
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_extract_from_dir(tmp_path):
@@ -691,6 +776,13 @@ def test_extract_from_dir(tmp_path):
     (tmp_path / "notes.txt").write_text("class C { }")
     facts = extract_facts_from_dir(tmp_path)
     assert names(facts, EntityKind.CLASS) == ["A", "B"]
+
+
+def test_extract_from_dir_needs_a_directory(tmp_path):
+    (tmp_path / "A.java").write_text("class A { }")
+    for path in (tmp_path / "missing", tmp_path / "A.java"):
+        with pytest.raises(CorenameError, match=f"{re.escape(str(path))}: not a directory"):
+            extract_facts_from_dir(path)
 
 
 def test_detection_over_facts_built_from_json():

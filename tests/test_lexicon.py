@@ -1,6 +1,8 @@
 """Tests for identifier splitting and lemmatization."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -330,6 +332,19 @@ class TestVocabulary:
             vocabulary.normalize(name, "lemma")
         # once per distinct surface: node, Count, Node, nodes, Nodes
         assert sorted(calls) == ["count", "node", "node", "nodes", "nodes"]
+
+    def test_freed_without_the_cycle_collector(self):
+        # a vocabulary per normalize call must not pile up until a full
+        # garbage collection
+        vocabulary = Vocabulary()
+        vocabulary.normalize("maxNodes", "lemma")
+        freed = weakref.ref(vocabulary)
+        gc.disable()
+        try:
+            del vocabulary
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_unchanged_lemma_sequence_is_the_raw_one(self):
         vocabulary = Vocabulary()
