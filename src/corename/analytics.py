@@ -14,7 +14,7 @@ from .chunks import ChunkKind
 from .errors import NoDataError
 from .facts.model import CodeFacts, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import atomic_write
+from .fileio import atomic_write, load_json
 from .grouping import (
     MeaningfulRenameSet,
     RenameSetCollection,
@@ -489,8 +489,7 @@ def emit_report(stats: RepoStats, out_dir, plots: bool = False) -> list[Path]:
 
 
 def load_report(path) -> RepoStats:
-    with open(path, encoding="utf-8") as fh:
-        return RepoStats.from_json(json.load(fh))
+    return RepoStats.from_json(load_json(path))
 
 
 _SVG_HEAD = (

@@ -1,10 +1,52 @@
-"""Atomic file writing shared by report emitters and the CLI."""
+"""Input reading and atomic file writing shared by the loaders, report
+emitters and the CLI."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator
+
+from .errors import ParseError
+
+
+def read_text(path) -> str:
+    """The text of an input file, as ``open(path, encoding="utf-8")`` reads
+    it; bytes that are not UTF-8 raise ParseError naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError("not UTF-8 text", line=line, source=path) from None
+    # universal newlines, as text mode reads them
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_lines(path) -> Iterator[str]:
+    """The lines of an input file, read one by one as text mode reads them;
+    bytes that are not UTF-8 raise ParseError as ``read_text`` does."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError:
+            pass
+    read_text(path)  # raises, naming the line
+    raise ParseError("not UTF-8 text", source=path)
+
+
+def load_json(path):
+    """The JSON value in an input file; invalid JSON raises ParseError
+    naming the file and line, as ``read_text`` does for bytes."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid JSON: {exc.msg}", line=exc.lineno, source=path
+        ) from None
 
 
 def atomic_write(path, content: str) -> Path:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .chunks import OperationalChunk, diff_lemmas, form_chunks
+from .chunks import OperationalChunk, chunk_key, diff_lemmas, form_chunks
 from .errors import InvalidIdentifier, ParseError
 from .lexicon import MODES, Lemmatizer, Vocabulary
 from .mining import RenameRecord, with_chunks
@@ -125,6 +125,11 @@ def attach_chunks(
     return chunk_by_mode(records, (mode,), lemmatizer)[mode]
 
 
+def chunk_keys(record: RenameRecord) -> tuple[str, ...]:
+    """The distinct keys of the record's chunks, in chunk order."""
+    return tuple(dict.fromkeys(map(chunk_key, record.chunks)))
+
+
 def build_rename_sets(
     records: Iterable[RenameRecord], mode: str
 ) -> RenameSetCollection:
@@ -136,7 +141,7 @@ def build_rename_sets(
     """
     grouped: dict[tuple[str, str], list[RenameRecord]] = {}
     for record in records:
-        for key in record.chunk_keys():
+        for key in chunk_keys(record):
             grouped.setdefault((record.commit, key), []).append(record)
     sets = tuple(
         MeaningfulRenameSet(commit=commit, key=key, members=tuple(members))

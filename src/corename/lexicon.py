@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InvalidIdentifier, ParseError
+from .fileio import read_lines
 
 CASING_LOWER = "lower"
 CASING_CAPITALIZED = "Capitalized"
@@ -172,8 +173,7 @@ class Lemmatizer:
     @classmethod
     def from_file(cls, path) -> "Lemmatizer":
         exceptions: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            cls._parse_table(fh, exceptions, path)
+        cls._parse_table(read_lines(path), exceptions, path)
         return cls(exceptions)
 
     @classmethod

@@ -14,11 +14,14 @@ import json
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .chunks import OperationalChunk, chunk_key
 from .errors import ParseError, RepoError, UnknownKind
 from .facts.model import CodeFacts, EntityKind, IdentifierKind
+from .fileio import read_lines
+
+if TYPE_CHECKING:  # chunks loads the word layer, which mining never runs
+    from .chunks import OperationalChunk
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,6 @@ class RenameRecord:
     container: str | None = None
     chunks: tuple[OperationalChunk, ...] = ()
     index: int | None = field(default=None, compare=False)
-
-    def chunk_keys(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(chunk_key(c) for c in self.chunks))
 
 
 def load_rename_records(
@@ -114,8 +114,7 @@ def serialize_rename_records(records: Iterable[RenameRecord], fp) -> None:
 
 
 def load_rename_records_file(path) -> list[RenameRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return load_rename_records(fh, source=path)
+    return load_rename_records(read_lines(path), source=path)
 
 
 _KIND_FROM_ENTITY = {

@@ -18,6 +18,7 @@ from .chunks import anchor_lemma, apply_chunk
 from .errors import DegenerateResult, InvalidIdentifier, NoDataError
 from .facts.model import CodeFacts, EntityKind, RelationshipKind
 from .facts.relations import detect_relationships
+from .fileio import load_json
 from .lexicon import Lemmatizer, Vocabulary, normalize
 from .mining import IdentifierKind, RenameRecord
 
@@ -72,8 +73,7 @@ class PriorProfile:
 
     @classmethod
     def load(cls, path) -> "PriorProfile":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -180,6 +180,44 @@ def facts_json_reference(facts):
     return json.dumps(facts.to_json(), indent=2, sort_keys=True) + "\n"
 
 
+def facts_from_json_per_entity(data):
+    """``CodeFacts.from_json`` as it was before it checked the entities
+    table column by column: one entity at a time."""
+    from corename.errors import ParseError
+    from corename.facts.model import _COLUMNS, _is_id, _rows, _table
+
+    if not isinstance(data, dict):
+        raise ParseError("facts are not a JSON object")
+    listed = _table(data, "entities")
+    entities = []
+    for position, e in enumerate(listed):
+        try:
+            entity = Entity(
+                id=e["id"],
+                kind=EntityKind(e["kind"]),
+                name=e["name"],
+                container=e["container"],
+                file=e["file"],
+            )
+        except KeyError as exc:
+            raise ParseError(f"entity {position}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"entity {position}: {exc}") from None
+        if not (
+            type(entity.id) is int
+            and entity.id == position
+            and isinstance(entity.name, str)
+            and isinstance(entity.file, str)
+            and (entity.container is None or _is_id(entity.container, len(listed)))
+        ):
+            raise ParseError(f"entity {position}: malformed {e!r}")
+        entities.append(entity)
+    return CodeFacts(
+        entities=tuple(entities),
+        **{key: _rows(data, key, len(entities)) for key in _COLUMNS},
+    )
+
+
 # --- the word splitter before its regex split and interned words ----------
 # ``split_identifier_reference`` and ``normalize_reference`` are the old
 # ``corename.lexicon`` functions, unchanged apart from their names; the

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line pipeline."""
 
+import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import corename
+from corename import cli
 from corename.cli import run
 from corename.lexicon import Lemmatizer
 
@@ -157,8 +160,8 @@ class TestModulesPerCommand:
                              "lexicon", "facts.relations"}
         loaded = self.loaded("mine", "--records", CORPUS / "renames.jsonl", "--out", renames)
         assert "mining" in loaded
-        assert not loaded & {"analytics", "grouping", "recommend", "facts.parser",
-                             "facts.relations"}
+        assert not loaded & {"analytics", "grouping", "recommend", "chunks", "lexicon",
+                             "facts.parser", "facts.relations"}
         loaded = self.loaded("group", "--renames", renames, "--out", sets)
         assert "grouping" in loaded
         assert not loaded & {"analytics", "recommend", "facts.parser", "facts.relations"}
@@ -303,6 +306,27 @@ class TestAnalyze:
         data = json.loads((out / "report.json").read_text())
         # the c01 sources now serve every commit: TypeV/TypeM detections remain
         assert data["relationship_rates"] is not None
+
+    @pytest.mark.parametrize("kept", [[], ["c01", "c02"]])
+    def test_warns_of_commits_on_empty_facts(self, tmp_path, facts_dir, capsys, kept):
+        # without default.json, commits lacking <commit>.json get empty facts
+        for path in facts_dir.glob("*.json"):
+            if path.stem not in kept:
+                path.unlink()
+        analyze(tmp_path, facts_dir, "report")
+        err = capsys.readouterr().err.splitlines()
+        assert err[-3] == (
+            f"corename: warning: {facts_dir}: no facts file for {20 - len(kept)} of 20 "
+            "commits and no default.json; those commits are analyzed on empty facts"
+        )
+        assert err[-1].endswith(
+            f"commits: {len(kept)} own facts, 0 default.json, {20 - len(kept)} empty facts"
+        )
+
+    def test_no_warning_when_every_commit_has_facts(self, tmp_path, facts_dir, capsys):
+        (facts_dir / "default.json").write_text((facts_dir / "c01.json").read_text())
+        analyze(tmp_path, facts_dir, "report")
+        assert "corename: warning" not in capsys.readouterr().err
 
     def test_inputs_not_mutated(self, tmp_path, facts_dir):
         before = (CORPUS / "renames.jsonl").read_bytes()
@@ -620,6 +644,44 @@ class TestMalformedInputs:
         assert run(argv) == 2
         assert f"corename: error: {bad}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["group", "analyze", "config", "lemma-table"])
+    def test_bytes_not_utf8(self, tmp_path, facts_dir, capsys, command):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'{"commit": "c01"}\n{"k": "\xff"}\n')
+        renames, sets = str(CORPUS / "renames.jsonl"), tmp_path / "sets.jsonl"
+        assert run(["group", "--renames", renames, "--out", str(sets)]) == 0
+        argv = {
+            "group": ["group", "--renames", str(bad), "--out", str(sets)],
+            "analyze": self.analyze_argv(tmp_path, bad),
+            "config": ["group", "--renames", renames, "--out", str(sets), "--config", str(bad)],
+            "lemma-table": ["group", "--renames", renames, "--out", str(sets),
+                            "--lemma-table", str(bad)],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"corename: error: {bad}: line 2: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_facts_file_not_utf8(self, tmp_path, facts_dir, capsys):
+        sets_path = tmp_path / "sets.jsonl"
+        assert run(["group", "--renames", str(CORPUS / "renames.jsonl"), "--out", str(sets_path)]) == 0
+        bad = facts_dir / "c02.json"
+        bad.write_bytes(b"{\xc3}")
+        assert run(self.analyze_argv(tmp_path, sets_path, "--facts-dir", str(facts_dir))) == 2
+        assert f"corename: error: {bad}: line 1: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--stats", "--profile"])
+    def test_report_and_profile_json(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"mode": "lemma"\n"x"}')
+        if flag == "--stats":
+            argv = ["report", "--stats", str(bad), "--out", str(tmp_path / "report")]
+        else:
+            argv = ["recommend", "--src", str(FIG1), "--old", "MetricType",
+                    "--new", "MetricAttribute", "--kind", "Class", "--profile", str(bad)]
+        assert run(argv) == 2
+        assert f"corename: error: {bad}: line 2: invalid JSON" in capsys.readouterr().err
+
     def test_lemma_table_line(self, tmp_path, capsys):
         table = tmp_path / "forms.txt"
         table.write_text("gizmos widget\ngadgets\n")
@@ -663,3 +725,122 @@ class TestMalformedInputs:
         argv = ["mine", "--records", str(CORPUS / "renames.jsonl"), "--out", str(tmp_path / "r.jsonl")]
         assert run([*argv, "--config", str(config)]) == 2
         assert f"{config}: line 1: " in capsys.readouterr().err
+
+
+def _garbage_of(argv) -> list:
+    """The objects that only the cycle collector could free after
+    ``run(argv)``, with the collector off during the run as ``main`` has it."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(list(map(str, argv))) == 0
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _scripted_repo(path, commits):
+    """A repository whose every commit renames the one attribute of Foo."""
+    path.mkdir()
+    git(path, "init", "-q")
+    (path / "B.java").write_text("class Bar { int size; void run(int n) { } }")
+    for number in range(commits):
+        (path / "A.java").write_text(f"class Foo {{ int count{number}; }}")
+        git(path, "add", "-A")
+        git(path, "commit", "-qm", f"commit {number}")
+    return path
+
+
+class TestNoGrowingCyclicGarbage:
+    """``main`` runs a command with the cycle collector off.  That is sound
+    only while no run leaves reference cycles whose number grows with its
+    input: each command runs on the fixture inputs and on inputs twice as
+    large, and must leave the same number of cyclic objects behind, none of
+    them a corename object."""
+
+    COMMANDS = ["mine-records", "mine-repo", "facts", "group", "analyze",
+                "recommend", "report"]
+
+    def inputs(self, root, facts_dir, copies):
+        """The fixture inputs, each held ``copies`` times under new names."""
+        root.mkdir()
+        lines = (CORPUS / "renames.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        (root / "renames.jsonl").write_text("".join(
+            json.dumps({**r, "commit": r["commit"] + "x" * n}) + "\n"
+            for n in range(copies) for r in records
+        ))
+        (root / "facts").mkdir()
+        for path in facts_dir.glob("*.json"):
+            for n in range(copies):
+                shutil.copy(path, root / "facts" / f"{path.stem}{'x' * n}.json")
+        for n in range(copies):
+            shutil.copytree(FIG1, root / "src" / f"fig1-{n}")
+            shutil.copytree(CORPUS / "src" / "c02", root / "src" / f"c02-{n}")
+        return root
+
+    def argv(self, command, d):
+        renames, sets, report = d / "renames.jsonl", d / "sets.jsonl", d / "report"
+        return {
+            "mine-records": ["mine", "--records", renames, "--out", d / "mined.jsonl"],
+            "mine-repo": ["mine", "--repo", d / "repo", "--out", d / "mined.jsonl"],
+            "facts": ["facts", "--src", d / "src", "--out", d / "facts.json"],
+            "group": ["group", "--renames", renames, "--out", sets],
+            "analyze": ["analyze", "--renames", renames, "--sets", sets,
+                        "--facts-dir", d / "facts", "--out", report, "--plots"],
+            "recommend": ["recommend", "--src", d / "src", "--old", "MetricType",
+                          "--new", "MetricAttribute", "--kind", "Class",
+                          "--format", "json"],
+            "report": ["report", "--stats", report / "report.json",
+                       "--out", d / "again", "--plots"],
+        }[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_cyclic_garbage_grows_with_the_input(self, tmp_path, facts_dir, command, capsys):
+        dirs = [self.inputs(tmp_path / f"x{copies}", facts_dir, copies) for copies in (1, 2)]
+        if command == "mine-repo":
+            for copies, d in enumerate(dirs, start=1):
+                _scripted_repo(d / "repo", 3 * copies)
+        garbage = []
+        for d in dirs:
+            if command in ("analyze", "report"):
+                assert run(list(map(str, self.argv("group", d)))) == 0
+            if command == "report":
+                assert run(list(map(str, self.argv("analyze", d)))) == 0
+            run(list(map(str, self.argv(command, d))))  # first-use imports and caches
+            garbage.append(_garbage_of(self.argv(command, d)))
+        ours = [o for found in garbage for o in found
+                if type(o).__module__.startswith("corename")]
+        assert ours == []
+        assert len(garbage[0]) == len(garbage[1])
+
+    def test_main_runs_the_command_without_the_collector(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda argv: seen.append(gc.isenabled()) or 0)
+        monkeypatch.setattr(sys, "argv", ["corename", "report"])
+        enabled = gc.isenabled()
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main()
+        finally:
+            if enabled:
+                gc.enable()
+        assert exit_.value.code == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_keeps_the_callers_collector_state(self, tmp_path, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            argv = ["mine", "--records", CORPUS / "renames.jsonl", "--out", tmp_path / "r.jsonl"]
+            assert run(list(map(str, argv))) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import extract_facts_reference, facts_json_reference
+from _oracles import (
+    extract_facts_reference,
+    facts_from_json_per_entity,
+    facts_json_reference,
+)
 from corename.errors import CorenameError, ParseError
 from corename.facts import (
     CodeFacts,
@@ -753,6 +757,100 @@ class TestDumpsMatchesReference:
         path = tmp_path / "new" / "facts.json"
         facts.save(path)
         assert path.read_bytes() == facts.dumps().encode("ascii")
+
+
+_MISSING = "<missing>"
+
+
+def _entity_mutation(position, count):
+    """A change to entity ``position`` of ``count`` that may make it
+    malformed, as (key, value), (key, _MISSING) to delete the key, or
+    (None, value) to replace the whole entity."""
+    same_id = [bool(position)] if position < 2 else []
+    return st.one_of(
+        st.tuples(st.none(), st.sampled_from([[position, "Class"], "entity", 0, None])),
+        st.tuples(st.sampled_from(["id", "kind", "name", "container", "file"]), st.just(_MISSING)),
+        st.tuples(st.just("id"), st.sampled_from(
+            [*same_id, float(position), position + 1, position - 1, str(position)]
+        )),
+        st.tuples(st.just("kind"), st.sampled_from(["Klass", "class", "", 1, None, ["Class"]])),
+        st.tuples(st.sampled_from(["name", "file"]), st.sampled_from([1, None, ["a"], {}])),
+        st.tuples(st.just("container"), st.sampled_from(
+            [True, False, -1, count, count + 2, 0.0, "0", [0]]
+        )),
+        st.tuples(st.just("container"), st.integers(0, count - 1) | st.none()),
+    )
+
+
+@st.composite
+def _entity_tables(draw):
+    """Facts as JSON data whose entities carry zero to three mutations."""
+    count = draw(st.integers(0, 6))
+    listed = [
+        {
+            "id": i,
+            "kind": draw(st.sampled_from(EntityKind)).value,
+            "name": draw(st.sampled_from(["a", "Ab", "é", ""])),
+            "container": draw(st.none() | st.integers(0, count - 1)),
+            "file": draw(st.sampled_from(["A.java", "p/B.java"])),
+        }
+        for i in range(count)
+    ]
+    ids = st.integers(0, count + 1)
+    contains = draw(st.lists(st.lists(ids, min_size=2, max_size=2), max_size=2))
+    for _ in range(draw(st.integers(0, 3)) if listed else 0):
+        position = draw(st.integers(0, count - 1))
+        key, value = draw(_entity_mutation(position, count))
+        if key is None:
+            listed[position] = value
+        elif isinstance(listed[position], dict):
+            if value == _MISSING:
+                listed[position].pop(key, None)
+            else:
+                listed[position][key] = value
+    return {"entities": listed, "contains": contains}
+
+
+def _loaded(load, data):
+    try:
+        return load(data)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestEntityLoaderMatchesReference:
+    """``CodeFacts.from_json`` reads the entities table column by column; the
+    per-entity loop it replaced must give equal facts or the same error."""
+
+    @pytest.mark.parametrize("tree", ["corpus/src", "fig1"])
+    def test_fixture_trees(self, tree):
+        data = extract_facts_from_dir(FIXTURES / tree).to_json()
+        facts = CodeFacts.from_json(data)
+        assert facts.entities and facts == facts_from_json_per_entity(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entity_tables())
+    def test_mutated_entities(self, data):
+        assert _loaded(CodeFacts.from_json, data) == _loaded(
+            facts_from_json_per_entity, data
+        )
+
+    @pytest.mark.parametrize("key, value", [
+        ("id", True), ("id", 1.0), ("id", 2), ("kind", "Klass"), ("kind", ["Class"]),
+        ("name", 1), ("file", None), ("container", True), ("container", -1),
+        ("container", 3), ("container", 1.0),
+    ])
+    def test_malformed_second_entity(self, key, value):
+        # each is named by the reference's message
+        listed = [
+            {"id": i, "kind": "Class", "name": "A", "container": None, "file": "A.java"}
+            for i in range(3)
+        ]
+        listed[1] = {**listed[1], key: value}
+        data = {"entities": listed}
+        expected = _loaded(facts_from_json_per_entity, data)
+        assert expected.startswith("ParseError: entity 1: ")
+        assert _loaded(CodeFacts.from_json, data) == expected
 
 
 def test_facts_with_index_freed_without_the_cycle_collector():

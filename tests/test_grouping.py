@@ -15,6 +15,7 @@ from corename.grouping import (
     attach_chunks,
     build_rename_sets,
     chunk_by_mode,
+    chunk_keys,
     collection_difference,
     enumerate_pairs,
     load_rename_sets,
@@ -89,7 +90,7 @@ class TestBuildRenameSets:
         for s in coll.sets:
             for r in records:
                 member = r in s.members
-                satisfies = r.commit == s.commit and s.key in r.chunk_keys()
+                satisfies = r.commit == s.commit and s.key in chunk_keys(r)
                 assert member == satisfies
 
     def test_member_total_vs_record_count(self):
@@ -215,7 +216,7 @@ def test_member_total_equals_distinct_chunk_key_count():
     for mode in ("raw", "lemma"):
         chunked = attach_chunks(records, mode)
         coll = build_rename_sets(chunked, mode)
-        assert coll.member_total() == sum(len(r.chunk_keys()) for r in chunked)
+        assert coll.member_total() == sum(len(chunk_keys(r)) for r in chunked)
         assert coll.member_total() >= sum(1 for r in chunked if r.chunks)
 
 
