@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .chunks import ChunkKind
-from .errors import NoDataError
+from .errors import NoDataError, ParseError
 from .facts.model import CodeFacts, RelationshipKind
 from .facts.relations import detect_relationships
 from .fileio import atomic_write, load_json
@@ -312,7 +312,7 @@ class RepoStats:
         def rel_rates(mapping):
             if mapping is None:
                 return None
-            return {RelationshipKind(k): v for k, v in mapping.items()}
+            return {RelationshipKind(k): _number(v) for k, v in mapping.items()}
 
         inflection = None
         if data.get("inflection") is not None:
@@ -336,7 +336,7 @@ class RepoStats:
             member_total=data["member_total"],
             co_rename_rate=data["co_rename_rate"],
             size_distribution=tuple(
-                SizeRow(*row) for row in data["size_distribution"]
+                SizeRow(*map(_number, row)) for row in data["size_distribution"]
             ),
             relationship_rates=rel_rates(data["relationship_rates"]),
             filtered_rates={
@@ -351,6 +351,15 @@ class RepoStats:
             },
             inflection=inflection,
         )
+
+
+def _number(value):
+    """``value`` if it is a number a float can hold: the plots compute with
+    the rates and size rows of a loaded report."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a number: {value!r}")
+    float(value)  # OverflowError for a larger int
+    return value
 
 
 def build_repo_stats(
@@ -489,7 +498,15 @@ def emit_report(stats: RepoStats, out_dir, plots: bool = False) -> list[Path]:
 
 
 def load_report(path) -> RepoStats:
-    return RepoStats.from_json(load_json(path))
+    """Read a report.json; one of the wrong shape raises ParseError naming
+    the file."""
+    data = load_json(path)
+    try:
+        return RepoStats.from_json(data)
+    except KeyError as exc:
+        raise ParseError(f"not a report: missing key {exc}", source=path) from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"not a report: {exc}", source=path) from None
 
 
 _SVG_HEAD = (

@@ -319,8 +319,25 @@ def _well_formed(table: list, columns: str, count: int) -> bool:
     return True
 
 
+# the Belongs kind of a `contains` row, by (parent kind, child kind); rows
+# of any other kind pair, such as an interface's methods, show no relationship
+_BELONGS = {
+    (EntityKind.CLASS, EntityKind.CLASS): RelationshipKind.BELONGS_C,
+    (EntityKind.CLASS, EntityKind.METHOD): RelationshipKind.BELONGS_M,
+    (EntityKind.CLASS, EntityKind.ATTRIBUTE): RelationshipKind.BELONGS_F,
+    (EntityKind.METHOD, EntityKind.PARAMETER): RelationshipKind.BELONGS_A,
+    (EntityKind.METHOD, EntityKind.VARIABLE): RelationshipKind.BELONGS_L,
+}
+
+
 class FactsIndex:
     """Name-keyed lookups over a CodeFacts instance (built lazily once).
+
+    ``pairs`` holds, for each relationship kind but CoOccursM, the name
+    pairs it holds for, oriented as the facts table it is read from (see
+    "Relationships" in docs/formats.md): the one place that maps fact tables
+    to kinds.  CoOccursM reads ``method_classes`` and ``repeated_methods``,
+    since listing the method pairs of each class would grow quadratically.
 
     It keeps no reference to its facts, which hold it: without a cycle, a
     snapshot and its index are freed as soon as the last user drops them.
@@ -331,34 +348,33 @@ class FactsIndex:
         self.by_name: dict[str, list[Entity]] = defaultdict(list)
         for e in ent:
             self.by_name[e.name].append(e)
-        # (parent kind, child kind) -> set of (parent name, child name)
-        self.contain_names: dict[
-            tuple[EntityKind, EntityKind], set[tuple[str, str]]
-        ] = defaultdict(set)
+        R = RelationshipKind
+        self.pairs: dict[RelationshipKind, set[tuple[str, str]]] = {
+            **{kind: set() for kind in _BELONGS.values()},
+            R.EXTENDS: {(sup, ent[sub].name) for sub, sup in facts.extends},
+            R.IMPLEMENTS: {(iface, ent[cls].name) for cls, iface in facts.implements},
+            R.TYPE_M: {(ent[mid].name, t) for mid, t in facts.returns},
+            R.TYPE_V: {(ent[vid].name, t) for vid, t in facts.typed},
+            R.INVOKES: {(ent[mid].name, callee) for mid, callee in facts.invokes},
+            R.ACCESSES: {(ent[mid].name, attr) for mid, attr in facts.accesses},
+            R.ASSIGNS: {(lhs, rhs) for lhs, rhs, _form in facts.assigns},
+            R.PASSES: {(formal, actual) for formal, actual, _form in facts.passes},
+        }
         # method name -> names of the classes declaring it, and the method
         # names declared at least twice under one class name (overloads)
         self.method_classes: dict[str, set[str]] = defaultdict(set)
         self.repeated_methods: set[str] = set()
         for parent_id, child_id in facts.contains:
             p, c = ent[parent_id], ent[child_id]
-            self.contain_names[(p.kind, c.kind)].add((p.name, c.name))
-            if p.kind is EntityKind.CLASS and c.kind is EntityKind.METHOD:
+            kind = _BELONGS.get((p.kind, c.kind))
+            if kind is None:
+                continue
+            self.pairs[kind].add((p.name, c.name))
+            if kind is R.BELONGS_M:
                 classes = self.method_classes[c.name]
                 if p.name in classes:
                     self.repeated_methods.add(c.name)
                 classes.add(p.name)
-        self.extends_names = {
-            (super_name, ent[sub_id].name) for sub_id, super_name in facts.extends
-        }
-        self.implements_names = {
-            (iface, ent[class_id].name) for class_id, iface in facts.implements
-        }
-        self.returns_names = {(ent[mid].name, t) for mid, t in facts.returns}
-        self.typed_names = {(ent[vid].name, t) for vid, t in facts.typed}
-        self.invokes_names = {(ent[mid].name, callee) for mid, callee in facts.invokes}
-        self.accesses_names = {(ent[mid].name, attr) for mid, attr in facts.accesses}
-        self.assigns_names = {(lhs, rhs) for lhs, rhs, _form in facts.assigns}
-        self.passes_names = {(formal, actual) for formal, actual, _form in facts.passes}
         # (mode, lemmatizer) -> lemma -> entity names holding it; filled by
         # the recommender on its first query, never here
         self.names_by_lemma: dict[tuple, dict[str, list[str]]] = {}

@@ -15,10 +15,10 @@ import json
 from dataclasses import dataclass
 
 from .chunks import anchor_lemma, apply_chunk
-from .errors import DegenerateResult, InvalidIdentifier, NoDataError
+from .errors import DegenerateResult, InvalidIdentifier, NoDataError, ParseError
 from .facts.model import CodeFacts, EntityKind, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import load_json
+from .fileio import atomic_write, load_json
 from .lexicon import Lemmatizer, Vocabulary, normalize
 from .mining import IdentifierKind, RenameRecord
 
@@ -73,12 +73,16 @@ class PriorProfile:
 
     @classmethod
     def load(cls, path) -> "PriorProfile":
-        return cls.from_json(load_json(path))
+        """Read a profile file; one of the wrong shape raises ParseError
+        naming it."""
+        data = load_json(path)
+        try:
+            return cls.from_json(data)
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise ParseError(f"not a prior profile: {exc}", source=path) from None
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 def default_profile() -> PriorProfile:

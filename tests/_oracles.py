@@ -16,7 +16,7 @@ import numpy as np
 
 from corename.chunks import ChunkKind, OperationalChunk
 from corename.errors import RepoError
-from corename.facts.model import CodeFacts, Entity, EntityKind
+from corename.facts.model import CodeFacts, Entity, EntityKind, RelationshipKind
 from corename.facts.parser import ASSIGN_OPS, KEYWORDS, MODIFIERS, PRIMITIVES, tokenize
 from corename.mining import CommitFiles
 
@@ -216,6 +216,120 @@ def facts_from_json_per_entity(data):
         entities=tuple(entities),
         **{key: _rows(data, key, len(entities)) for key in _COLUMNS},
     )
+
+
+# --- the relationship detector before its one name-pair table -------------
+# ``FactsIndex`` once kept one differently shaped set per facts table, and
+# ``corename.facts.relations`` read each through its own predicate; these are
+# those sets and predicates, unchanged apart from their names.
+
+
+class RuleIndex:
+    """The per-table name sets the 14 predicates read, built from facts."""
+
+    def __init__(self, facts):
+        ent = facts.entities
+        # (parent kind, child kind) -> set of (parent name, child name)
+        self.contain_names = defaultdict(set)
+        self.method_classes = defaultdict(set)
+        self.repeated_methods = set()
+        for parent_id, child_id in facts.contains:
+            p, c = ent[parent_id], ent[child_id]
+            self.contain_names[(p.kind, c.kind)].add((p.name, c.name))
+            if p.kind is EntityKind.CLASS and c.kind is EntityKind.METHOD:
+                classes = self.method_classes[c.name]
+                if p.name in classes:
+                    self.repeated_methods.add(c.name)
+                classes.add(p.name)
+        self.extends_names = {
+            (super_name, ent[sub_id].name) for sub_id, super_name in facts.extends
+        }
+        self.implements_names = {
+            (iface, ent[class_id].name) for class_id, iface in facts.implements
+        }
+        self.returns_names = {(ent[mid].name, t) for mid, t in facts.returns}
+        self.typed_names = {(ent[vid].name, t) for vid, t in facts.typed}
+        self.invokes_names = {(ent[mid].name, callee) for mid, callee in facts.invokes}
+        self.accesses_names = {(ent[mid].name, attr) for mid, attr in facts.accesses}
+        self.assigns_names = {(lhs, rhs) for lhs, rhs, _form in facts.assigns}
+        self.passes_names = {(formal, actual) for formal, actual, _form in facts.passes}
+
+
+def _belongs(parent_kind, child_kind):
+    def predicate(index, parent, child):
+        return (parent, child) in index.contain_names.get((parent_kind, child_kind), ())
+
+    return predicate
+
+
+def _co_occurs_m(index, m1, m2):
+    if m1 == m2:
+        return m1 in index.repeated_methods
+    classes = index.method_classes.get(m1)
+    return classes is not None and not classes.isdisjoint(
+        index.method_classes.get(m2, ())
+    )
+
+
+def _extends(index, superclass, subclass):
+    return (superclass, subclass) in index.extends_names
+
+
+def _implements(index, interface, cls):
+    return (interface, cls) in index.implements_names
+
+
+def _type_m(index, method, type_name):
+    return (method, type_name) in index.returns_names
+
+
+def _type_v(index, value, type_name):
+    return (value, type_name) in index.typed_names
+
+
+def _invokes(index, caller, callee):
+    return (caller, callee) in index.invokes_names
+
+
+def _accesses(index, method, attribute):
+    return (method, attribute) in index.accesses_names
+
+
+def _assigns(index, lhs, rhs):
+    return (lhs, rhs) in index.assigns_names
+
+
+def _passes(index, formal, actual):
+    return (formal, actual) in index.passes_names
+
+
+_R = RelationshipKind
+_RULES = (
+    (_R.BELONGS_C, _belongs(EntityKind.CLASS, EntityKind.CLASS)),
+    (_R.BELONGS_M, _belongs(EntityKind.CLASS, EntityKind.METHOD)),
+    (_R.BELONGS_F, _belongs(EntityKind.CLASS, EntityKind.ATTRIBUTE)),
+    (_R.BELONGS_A, _belongs(EntityKind.METHOD, EntityKind.PARAMETER)),
+    (_R.BELONGS_L, _belongs(EntityKind.METHOD, EntityKind.VARIABLE)),
+    (_R.CO_OCCURS_M, _co_occurs_m),
+    (_R.EXTENDS, _extends),
+    (_R.IMPLEMENTS, _implements),
+    (_R.TYPE_M, _type_m),
+    (_R.TYPE_V, _type_v),
+    (_R.INVOKES, _invokes),
+    (_R.ACCESSES, _accesses),
+    (_R.ASSIGNS, _assigns),
+    (_R.PASSES, _passes),
+)
+
+
+def detect_relationships_by_rules(index, name_i, name_j):
+    """``detect_relationships`` as the 14 predicates computed it, each in
+    both argument orders, over a ``RuleIndex`` of the facts."""
+    return {
+        kind
+        for kind, predicate in _RULES
+        if predicate(index, name_i, name_j) or predicate(index, name_j, name_i)
+    }
 
 
 # --- the word splitter before its regex split and interned words ----------

@@ -682,6 +682,55 @@ class TestMalformedInputs:
         assert run(argv) == 2
         assert f"corename: error: {bad}: line 2: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda report: {},
+            lambda report: [1],
+            lambda report: {**report, "relationship_rates": {"Extends": "x"}},
+            lambda report: {**report, "relationship_rates": {"Extends": 10**400, "Passes": 1.0}},
+            lambda report: {**report, "size_distribution": [[2, 1, 2, "x"]]},
+            lambda report: {**report, "size_distribution": [[2, 1, 2]]},
+            lambda report: {**report, "filtered_rates": [1]},
+            lambda report: {**report, "chunk_type_rates": {"raw": {"Shuffle": 0.5}}},
+        ],
+        ids=["empty", "list", "rate", "huge-rate", "size-row-rate", "short-size-row",
+             "filtered-list", "chunk-kind"],
+    )
+    def test_report_shape(self, tmp_path, facts_dir, capsys, change):
+        report = json.loads((analyze(tmp_path, facts_dir, "report") / "report.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(change(report)))
+        argv = ["report", "--stats", str(bad), "--out", str(tmp_path / "again"), "--plots"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"corename: error: {bad}: not a report: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            {"weights": {"Class": {"TypeV": "x"}}},
+            [1],
+            {"weights": {"Class": [1]}},
+            {"weights": {"Unknown": {}}},
+            {"weights": {"Class": {"Unknown": 1.0}}},
+            {"default_weight": None},
+            {"weights": {"Class": {"TypeV": 10**400}}},
+        ],
+        ids=["weight-string", "list", "table-list", "trigger", "kind", "default-null",
+             "huge-weight"],
+    )
+    def test_profile_shape(self, tmp_path, capsys, profile):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(profile))
+        argv = ["recommend", "--src", str(FIG1), "--old", "MetricType",
+                "--new", "MetricAttribute", "--kind", "Class", "--profile", str(bad)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"corename: error: {bad}: not a prior profile: " in err
+        assert "Traceback" not in err
+
     def test_lemma_table_line(self, tmp_path, capsys):
         table = tmp_path / "forms.txt"
         table.write_text("gizmos widget\ngadgets\n")

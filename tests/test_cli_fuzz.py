@@ -1,6 +1,6 @@
 """Fuzzing the command line's file inputs: every mutated renames, sets, facts,
-config or lemma-table file ends in exit status 0, 1 or 2, never in an
-exception that escapes ``run`` or a traceback on stderr."""
+config, lemma-table, report or profile file ends in exit status 0, 1 or 2,
+never in an exception that escapes ``run`` or a traceback on stderr."""
 
 import contextlib
 import io
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corename.cli import run
+from corename.recommend import default_profile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -94,6 +95,12 @@ def base(tmp_path_factory):
     renames = root / "renames.jsonl"
     shutil.copy(CORPUS / "renames.jsonl", renames)
     assert run(["group", "--renames", str(renames), "--out", str(root / "sets.jsonl")]) == 0
+    assert run([
+        "analyze", "--renames", str(renames), "--sets", str(root / "sets.jsonl"),
+        "--facts-dir", str(facts), "--out", str(root / "report"),
+    ]) == 0
+    shutil.copy(root / "report" / "report.json", root / "report.json")
+    default_profile().save(root / "profile.json")
     (root / "forms.txt").write_text("# comment\ngizmos gizmo\nmice mouse\n")
     (root / "analyze.json").write_text(
         json.dumps({"mode": "raw", "filter": ["Class", "Method"], "plots": True})
@@ -143,6 +150,13 @@ _TARGETS = {
     "lemma-table": ("forms.txt", "text", lambda r, m: [
         ["group", "--renames", r / "renames.jsonl", "--lemma-table", m,
          "--out", r / "out-sets.jsonl"],
+    ]),
+    "report": ("report.json", "json", lambda r, m: [
+        ["report", "--stats", m, "--out", r / "out-report", "--plots"],
+    ]),
+    "profile": ("profile.json", "json", lambda r, m: [
+        ["recommend", "--src", FIXTURES / "fig1", "--old", "MetricType",
+         "--new", "MetricAttribute", "--kind", "Class", "--profile", m],
     ]),
 }
 

@@ -1,14 +1,16 @@
-"""The ``>>>`` examples in the word and chunk modules run as tests."""
+"""The ``>>>`` examples in the word, chunk and relationship modules run as
+tests."""
 
 import doctest
 
 import pytest
 
 import corename.chunks
+import corename.facts.relations
 import corename.lexicon
 
 
-@pytest.mark.parametrize("module", [corename.lexicon, corename.chunks])
+@pytest.mark.parametrize("module", [corename.lexicon, corename.chunks, corename.facts.relations])
 def test_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -1,13 +1,14 @@
 """Golden fixtures for all 14 relationship kinds: one positive and one
-mutated negative per kind, plus structural properties of the detector."""
+mutated negative per kind, plus structural properties of the detector and
+its agreement with the per-kind predicates it replaced."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import co_occurs_m_scan
+from _oracles import RuleIndex, co_occurs_m_scan, detect_relationships_by_rules
 from corename.facts import (
     CodeFacts,
     Entity,
@@ -141,6 +142,15 @@ def test_catalog_has_all_14_kinds():
     assert all(rule.description for rule in table)
 
 
+def test_docs_table_matches_catalog():
+    """docs/formats.md lists each kind with the catalog's description."""
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = text.split("\n## Relationships\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| ")]
+    documented = [(kind.strip(), description.strip()) for kind, description in rows[1:]]
+    assert documented == [(rule.kind.value, rule.description) for rule in relationship_table()]
+
+
 def test_golden_covers_every_kind():
     assert {kind for kind, *_ in GOLDEN} == set(RelationshipKind)
 
@@ -237,3 +247,73 @@ def contains_tables(draw):
 @given(contains_tables())
 def test_co_occurs_index_matches_scan_on_generated_tables(facts):
     assert_co_occurs_matches_scan(facts, {*METHOD_NAMES, "A", "B", "absent"})
+
+
+def table_names(facts):
+    """Every name string in the facts: entity names and the names the
+    extends, implements, typed, returns, invokes, accesses, assigns and
+    passes tables hold as text."""
+    names = {e.name for e in facts.entities}
+    for key in ("extends", "implements", "typed", "returns", "invokes", "accesses"):
+        names.update(name for _id, name in getattr(facts, key))
+    for key in ("assigns", "passes"):
+        names.update(name for row in getattr(facts, key) for name in row[:2])
+    return names
+
+
+def assert_detect_matches_rules(facts):
+    rules = RuleIndex(facts)
+    for a, b in product(sorted(table_names(facts) | {"absent"}), repeat=2):
+        assert detect_relationships(facts, a, b) == detect_relationships_by_rules(
+            rules, a, b
+        ), (a, b)
+
+
+@pytest.mark.parametrize(
+    "snapshot",
+    [*sorted((FIXTURES / "corpus" / "src").iterdir()), FIXTURES / "fig1"],
+    ids=lambda path: path.name,
+)
+def test_detect_matches_rules_on_fixtures(snapshot):
+    assert_detect_matches_rules(extract_facts_from_dir(snapshot))
+
+
+NAMES = ("A", "B", "get", "size")
+
+
+@st.composite
+def full_tables(draw):
+    """Facts with every entity kind and every table filled, one `contains`
+    row under an interface, over a name pool small enough that one name is
+    often an entity of several kinds and a text reference too."""
+    kinds = [*EntityKind, *draw(st.lists(st.sampled_from(EntityKind), max_size=6))]
+    entities = tuple(
+        Entity(id=i, kind=kind, name=draw(st.sampled_from(NAMES)), container=None, file="F.java")
+        for i, kind in enumerate(draw(st.permutations(kinds)))
+    )
+    ids = st.integers(0, len(entities) - 1)
+    names = st.sampled_from(NAMES)
+
+    def table(*columns):
+        return tuple(draw(st.lists(st.tuples(*columns), min_size=1, max_size=8)))
+
+    forms = st.sampled_from(("attribute", "variable", "invocation"))
+    interface = next(e.id for e in entities if e.kind is EntityKind.INTERFACE)
+    return CodeFacts(
+        entities=entities,
+        contains=table(ids, ids) + ((interface, draw(ids)),),
+        extends=table(ids, names),
+        implements=table(ids, names),
+        typed=table(ids, names),
+        returns=table(ids, names),
+        invokes=table(ids, names),
+        accesses=table(ids, names),
+        assigns=table(names, names, forms),
+        passes=table(names, names, forms),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_tables())
+def test_detect_matches_rules_on_generated_tables(facts):
+    assert_detect_matches_rules(facts)
