@@ -14,11 +14,10 @@ from .chunks import ChunkKind
 from .errors import NoDataError, ParseError
 from .facts.model import CodeFacts, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import atomic_write, load_json
+from .fileio import atomic_write, json_number, load_json
 from .grouping import (
     MeaningfulRenameSet,
     RenameSetCollection,
-    attach_chunks,
     build_rename_sets,
     chunk_by_mode,
     collection_difference,
@@ -126,63 +125,35 @@ class _Detections:
         return [(s, self.count(s)) for s in sets if len(s) >= 2]
 
 
-def _has_kind(rename_set: MeaningfulRenameSet, kind: IdentifierKind | None) -> bool:
-    return kind is None or any(m.kind == kind for m in rename_set.members)
-
-
 def _pooled_rates(
     counted: list, kind_filter: IdentifierKind | None = None
 ) -> dict[RelationshipKind, float]:
-    """Rates over the summed counts of the counted sets that pass the filter."""
+    """Rates over the summed counts of the counted sets; with ``kind_filter``,
+    only of sets containing at least one rename of that identifier kind."""
     counts: Counter[RelationshipKind] = Counter()
     for rename_set, set_counts in counted:
-        if _has_kind(rename_set, kind_filter):
+        if kind_filter is None or any(
+            m.kind == kind_filter for m in rename_set.members
+        ):
             counts.update(set_counts)
-    total = sum(counts.values())
-    if total == 0:
-        raise NoDataError(
-            "no relationships detected"
-            + (f" for filter {kind_filter.value}" if kind_filter else "")
-        )
-    return {kind: counts[kind] / total for kind in sorted(counts, key=lambda k: k.value)}
-
-
-def relationship_rates(
-    coll: RenameSetCollection,
-    facts,
-    kind_filter: IdentifierKind | None = None,
-) -> dict[RelationshipKind, float]:
-    """Share of each relationship kind among all detections.
-
-    Considers sets with at least two members; with ``kind_filter``, only
-    sets containing at least one rename of that identifier kind.  Facts
-    come from each set's commit snapshot (see _facts_for).  Raises
-    NoDataError when nothing is detected.
-    """
-    counted = _Detections(facts).count_sets(
-        s for s in coll.sets if _has_kind(s, kind_filter)
+    return _shares(
+        counts,
+        "no relationships detected"
+        + (f" for filter {kind_filter.value}" if kind_filter else ""),
     )
-    return _pooled_rates(counted, kind_filter)
 
 
 def _chunk_rates(chunked: list[RenameRecord]) -> dict[ChunkKind, float]:
-    counts: Counter[ChunkKind] = Counter()
-    for record in chunked:
-        for chunk in record.chunks:
-            counts[chunk.kind] += 1
+    counts = Counter(chunk.kind for record in chunked for chunk in record.chunks)
+    return _shares(counts, "no operational chunks")
+
+
+def _shares(counts: Counter, empty: str) -> dict:
+    """Each kind's share of the counts; NoDataError(empty) if there are none."""
     total = sum(counts.values())
     if total == 0:
-        raise NoDataError("no operational chunks")
+        raise NoDataError(empty)
     return {kind: counts[kind] / total for kind in sorted(counts, key=lambda k: k.value)}
-
-
-def chunk_type_rates(
-    records: Iterable[RenameRecord],
-    mode: str,
-    lemmatizer: Lemmatizer | None = None,
-) -> dict[ChunkKind, float]:
-    """Share of each chunk kind over all chunk occurrences in the mode."""
-    return _chunk_rates(attach_chunks(records, mode, lemmatizer))
 
 
 @dataclass(frozen=True)
@@ -206,9 +177,13 @@ def _or_none(fn, *args, **kw):
         return None
 
 
-def _inflection(chunked: dict[str, list[RenameRecord]], detections) -> InflectionImpact:
-    raw_coll = build_rename_sets(chunked["raw"], "raw")
-    lemma_coll = build_rename_sets(chunked["lemma"], "lemma")
+def _inflection(
+    collections: dict[str, RenameSetCollection], detections
+) -> InflectionImpact:
+    """Compare the two modes' sets; relationship rates are computed only
+    inside the newly created sets, lemma-mode sets whose membership matches
+    no raw-mode set."""
+    raw_coll, lemma_coll = collections["raw"], collections["lemma"]
     new_sets = collection_difference(lemma_coll, raw_coll)
     new_rates = None
     if detections.facts is not None and new_sets:
@@ -223,19 +198,6 @@ def _inflection(chunked: dict[str, list[RenameRecord]], detections) -> Inflectio
         new_set_count=len(new_sets),
         new_set_relationship_rates=new_rates,
     )
-
-
-def inflection_impact(
-    records: list[RenameRecord],
-    facts=None,
-    lemmatizer: Lemmatizer | None = None,
-) -> InflectionImpact:
-    """Run both modes end to end and compare their rename sets.
-
-    Relationship rates are computed only inside the newly created sets,
-    i.e. lemma-mode sets whose membership matches no raw-mode set.
-    """
-    return _inflection(chunk_by_mode(records, MODES, lemmatizer), _Detections(facts))
 
 
 @dataclass(frozen=True)
@@ -265,6 +227,10 @@ class RepoStats:
     chunk_type_rates: dict[str, dict[ChunkKind, float] | None]
     inflection: InflectionImpact | None
     work: WorkCounts | None = field(default=None, compare=False)
+    # the sets behind the headline statistics (not in the report)
+    collection: RenameSetCollection | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def to_json(self) -> dict:
         def rates(mapping):
@@ -296,92 +262,97 @@ class RepoStats:
         if self.inflection is not None:
             inf = self.inflection
             data["inflection"] = {
-                "raw_co_rename_rate": inf.raw_co_rename_rate,
-                "lemma_co_rename_rate": inf.lemma_co_rename_rate,
-                "raw_set_count": inf.raw_set_count,
-                "lemma_set_count": inf.lemma_set_count,
-                "raw_member_total": inf.raw_member_total,
-                "lemma_member_total": inf.lemma_member_total,
-                "new_set_count": inf.new_set_count,
+                **vars(inf),  # the JSON keys are the field names
                 "new_set_relationship_rates": rates(inf.new_set_relationship_rates),
             }
         return data
 
     @classmethod
     def from_json(cls, data: dict) -> "RepoStats":
-        def rel_rates(mapping):
+        def rates(mapping, kind):
             if mapping is None:
                 return None
-            return {RelationshipKind(k): _number(v) for k, v in mapping.items()}
+            return {kind(k): json_number(v) for k, v in mapping.items()}
 
         inflection = None
         if data.get("inflection") is not None:
             inf = data["inflection"]
             inflection = InflectionImpact(
-                raw_co_rename_rate=inf["raw_co_rename_rate"],
-                lemma_co_rename_rate=inf["lemma_co_rename_rate"],
-                raw_set_count=inf["raw_set_count"],
-                lemma_set_count=inf["lemma_set_count"],
-                raw_member_total=inf["raw_member_total"],
-                lemma_member_total=inf["lemma_member_total"],
-                new_set_count=inf["new_set_count"],
-                new_set_relationship_rates=rel_rates(
-                    inf["new_set_relationship_rates"]
+                raw_co_rename_rate=_optional_number(inf["raw_co_rename_rate"]),
+                lemma_co_rename_rate=_optional_number(inf["lemma_co_rename_rate"]),
+                raw_set_count=_count(inf["raw_set_count"]),
+                lemma_set_count=_count(inf["lemma_set_count"]),
+                raw_member_total=_count(inf["raw_member_total"]),
+                lemma_member_total=_count(inf["lemma_member_total"]),
+                new_set_count=_count(inf["new_set_count"]),
+                new_set_relationship_rates=rates(
+                    inf["new_set_relationship_rates"], RelationshipKind
                 ),
             )
         return cls(
-            mode=data["mode"],
-            record_count=data["record_count"],
-            set_count=data["set_count"],
-            member_total=data["member_total"],
-            co_rename_rate=data["co_rename_rate"],
+            mode=_mode(data["mode"]),
+            record_count=_count(data["record_count"]),
+            set_count=_count(data["set_count"]),
+            member_total=_count(data["member_total"]),
+            co_rename_rate=_optional_number(data["co_rename_rate"]),
             size_distribution=tuple(
-                SizeRow(*map(_number, row)) for row in data["size_distribution"]
+                SizeRow(*map(_count, row[:3]), *map(json_number, row[3:]))
+                for row in data["size_distribution"]
             ),
-            relationship_rates=rel_rates(data["relationship_rates"]),
+            relationship_rates=rates(data["relationship_rates"], RelationshipKind),
             filtered_rates={
-                IdentifierKind(k): rel_rates(v)
+                IdentifierKind(k): rates(v, RelationshipKind)
                 for k, v in data["filtered_rates"].items()
             },
             chunk_type_rates={
-                mode: None
-                if v is None
-                else {ChunkKind(k): r for k, r in v.items()}
+                _mode(mode): rates(v, ChunkKind)
                 for mode, v in data["chunk_type_rates"].items()
             },
             inflection=inflection,
         )
 
 
-def _number(value):
-    """``value`` if it is a number a float can hold: the plots compute with
-    the rates and size rows of a loaded report."""
-    if type(value) not in (int, float):
-        raise TypeError(f"not a number: {value!r}")
-    float(value)  # OverflowError for a larger int
+# a loaded report is written back to CSV and plotted: each value needs its type
+
+
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise TypeError(f"not a count: {value!r}")
+    return value
+
+
+def _optional_number(value):
+    return None if value is None else json_number(value)
+
+
+def _mode(value) -> str:
+    if value not in MODES:
+        raise ValueError(f"unknown mode: {value!r}")
     return value
 
 
 def build_repo_stats(
     records: list[RenameRecord],
-    coll: RenameSetCollection,
     facts=None,
+    mode: str = "lemma",
     filters: Iterable[IdentifierKind] = tuple(IdentifierKind),
     lemmatizer: Lemmatizer | None = None,
 ) -> RepoStats:
-    """Assemble the full report for one record stream and its collection.
+    """Assemble the full report for one record stream.
 
-    Every rate is summed from per-set counts, and each (snapshot, pair) is
-    detected once.  The records are chunked for both modes in one pass of
-    ``chunk_by_mode``: each name is split once, its lemma sequence comes
-    from that split, and each distinct pair of lemma sequences is diffed
-    once for both modes.
+    The records are chunked for both modes in one pass of
+    ``chunk_by_mode``, and each mode's rename sets are built once: the
+    ``mode`` sets give the headline statistics, both the inflection
+    comparison.  Every rate is summed from per-set counts, and each
+    (snapshot, pair) is detected once in ``facts`` (see ``_facts_for``).
     """
+    chunked = chunk_by_mode(records, MODES, lemmatizer)
+    collections = {m: build_rename_sets(chunked[m], m) for m in MODES}
+    coll = collections[mode]
     detections = _Detections(facts)
     counted = detections.count_sets(coll.sets)
-    chunked = chunk_by_mode(records, MODES, lemmatizer)
     return RepoStats(
-        mode=coll.mode,
+        mode=mode,
         record_count=len(records),
         set_count=len(coll),
         member_total=coll.member_total(),
@@ -392,10 +363,11 @@ def build_repo_stats(
             kind: _or_none(_pooled_rates, counted, kind) for kind in filters
         },
         chunk_type_rates={
-            mode: _or_none(_chunk_rates, chunked[mode]) for mode in MODES
+            m: _or_none(_chunk_rates, chunked[m]) for m in MODES
         },
-        inflection=_inflection(chunked, detections),
+        inflection=_inflection(collections, detections),
         work=WorkCounts(pairs=detections.pairs, detections=len(detections.found)),
+        collection=coll,
     )
 
 

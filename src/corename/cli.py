@@ -173,49 +173,50 @@ def _load_facts_dir(directory) -> dict[str, CodeFacts]:
 
 def _cmd_analyze(args) -> int:
     from .analytics import build_repo_stats, emit_report
-    from .grouping import load_rename_sets
+    from .grouping import check_rename_sets
     from .mining import load_rename_records_file
 
-    mode = args.mode
     records = load_rename_records_file(args.renames)
-    collection = load_rename_sets(
-        read_lines(args.sets), records, mode, source=args.sets
-    )
-    commits = {s.commit for s in collection.sets}
-    facts = None
-    own = default = 0
+    facts = fallback = None
+    own_facts = set()
     if args.facts_dir:
         facts = _load_facts_dir(args.facts_dir)
         fallback = facts.pop("default", None)
-        own = len(commits & facts.keys())
+        own_facts = set(facts)
         if fallback is not None:
             # single-snapshot approximation for commits without facts
-            facts = {**{commit: fallback for commit in commits}, **facts}
-            default = len(commits) - own
-        elif len(commits) > own:
-            logger.warning(
-                "%s: no facts file for %d of %d commits and no default.json; "
-                "those commits are analyzed on empty facts",
-                args.facts_dir,
-                len(commits) - own,
-                len(commits),
-            )
+            facts = {**dict.fromkeys((r.commit for r in records), fallback), **facts}
     stats = build_repo_stats(
         records,
-        collection,
         facts,
+        mode=args.mode,
         filters=tuple(IdentifierKind(k) for k in args.filter)
         if args.filter
         else tuple(IdentifierKind),
         lemmatizer=_lemmatizer(args),
     )
+    # the sets are derived from the renames; --sets must hold the same ones
+    check_rename_sets(
+        read_lines(args.sets), stats.collection, len(records), source=args.sets
+    )
+    commits = {s.commit for s in stats.collection.sets}
+    own = len(commits & own_facts)
+    default = len(commits) - own if fallback is not None else 0
+    if args.facts_dir and fallback is None and len(commits) > own:
+        logger.warning(
+            "%s: no facts file for %d of %d commits and no default.json; "
+            "those commits are analyzed on empty facts",
+            args.facts_dir,
+            len(commits) - own,
+            len(commits),
+        )
     written = emit_report(stats, args.out, plots=args.plots)
     print(
         "wrote " + ", ".join(str(p) for p in written),
         file=sys.stderr,
     )
     print(
-        f"analyzed {len(collection)} sets: {stats.work.pairs} pairs evaluated, "
+        f"analyzed {stats.set_count} sets: {stats.work.pairs} pairs evaluated, "
         f"{stats.work.detections} distinct detections; commits: {own} own facts, "
         f"{default} default.json, {len(commits) - own - default} empty facts",
         file=sys.stderr,

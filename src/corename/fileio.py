@@ -49,6 +49,15 @@ def load_json(path):
         ) from None
 
 
+def json_number(value):
+    """``value`` if it is a JSON number a float can hold, so not a boolean
+    or a string of digits; TypeError or OverflowError otherwise."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a number: {value!r}")
+    float(value)  # OverflowError for a larger int
+    return value
+
+
 def atomic_write(path, content: str) -> Path:
     """Write text to ``path`` via a temp file and rename."""
     path = Path(path)

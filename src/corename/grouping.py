@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Iterable
 
 from .chunks import OperationalChunk, chunk_key, diff_lemmas, form_chunks
@@ -23,14 +23,15 @@ class MeaningfulRenameSet:
     commit: str
     key: str
     members: tuple[RenameRecord, ...]
+    # the members' places in the record list the set was built from, which
+    # name the same renames in either mode's chunked list
+    positions: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.members)
 
     def member_identity(self) -> frozenset:
-        return frozenset(
-            m.index if m.index is not None else id(m) for m in self.members
-        )
+        return frozenset(self.positions)
 
     def unique_old_names(self) -> int:
         return len({m.old_name for m in self.members})
@@ -131,7 +132,7 @@ def chunk_keys(record: RenameRecord) -> tuple[str, ...]:
 
 
 def build_rename_sets(
-    records: Iterable[RenameRecord], mode: str
+    records: list[RenameRecord], mode: str
 ) -> RenameSetCollection:
     """Group records into one set per (commit, chunk key) they share.
 
@@ -139,13 +140,15 @@ def build_rename_sets(
     with no chunks joins none.  Sets are ordered by (commit, key) and each
     lists its members in input order without duplicates.
     """
-    grouped: dict[tuple[str, str], list[RenameRecord]] = {}
-    for record in records:
+    grouped: dict[tuple[str, str], list[int]] = {}
+    for position, record in enumerate(records):
         for key in chunk_keys(record):
-            grouped.setdefault((record.commit, key), []).append(record)
+            grouped.setdefault((record.commit, key), []).append(position)
     sets = tuple(
-        MeaningfulRenameSet(commit=commit, key=key, members=tuple(members))
-        for (commit, key), members in sorted(grouped.items())
+        MeaningfulRenameSet(
+            commit, key, tuple(records[p] for p in positions), tuple(positions)
+        )
+        for (commit, key), positions in sorted(grouped.items())
     )
     return RenameSetCollection(sets=sets, mode=mode)
 
@@ -161,7 +164,7 @@ def collection_difference(
     """Sets of the first collection with no membership-identical set in the
     second.
 
-    Identity is by member records, not by chunk key: folding inflection
+    Identity is by member positions, not by chunk key: folding inflection
     rewrites keys, so a set only counts as new when no set over the same
     records existed before.
     """
@@ -187,19 +190,24 @@ def serialize_rename_sets(collection: RenameSetCollection, fp) -> None:
         fp.write("\n")
 
 
-def load_rename_sets(
+def check_rename_sets(
     stream: Iterable[str],
-    records: list[RenameRecord],
-    mode: str,
+    collection: RenameSetCollection,
+    record_count: int,
     source: str | None = None,
-) -> RenameSetCollection:
-    """Parse the lines written by ``serialize_rename_sets``.
+) -> None:
+    """Check that the lines of a sets file are those ``serialize_rename_sets``
+    writes for ``collection``.
 
-    Raises ParseError, naming ``source`` and the line, for invalid JSON, a
-    line that is not an object, missing keys, or a member that is not the
-    position of a record.
+    Every line is first checked for shape: invalid JSON, a line that is not
+    an object, missing keys, or a member that is not the position of one of
+    ``record_count`` records raise ParseError naming ``source`` and the
+    line.  Only then are the sets compared, in order, by commit, key and
+    members; the first that differs, or sets missing at the end, raise
+    ParseError too.
     """
-    sets = []
+    found = []
+    number = 0
     for number, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
@@ -227,15 +235,24 @@ def load_rename_sets(
         if not isinstance(members, list):
             raise ParseError("members is not a list", line=number, source=source)
         for i in members:
-            if type(i) is not int or not 0 <= i < len(records):
+            if type(i) is not int or not 0 <= i < record_count:
                 raise ParseError(
-                    f"member {i!r} is not a record position in [0, {len(records)})",
+                    f"member {i!r} is not a record position in [0, {record_count})",
                     line=number,
                     source=source,
                 )
-        sets.append(
-            MeaningfulRenameSet(
-                commit=commit, key=key, members=tuple(records[i] for i in members)
+        found.append((number, (commit, key, members)))
+    expected = [(s.commit, s.key, [m.index for m in s.members]) for s in collection.sets]
+    derived = f"the {len(expected)} sets derived from the renames in {collection.mode} mode"
+    regroup = "; group the renames with the same mode and lemma table"
+    for i, (got, want) in enumerate(zip_longest(found, expected)):
+        if got is None:
+            raise ParseError(
+                f"{len(expected) - i} of {derived} missing at the end{regroup}",
+                line=number + 1,
+                source=source,
             )
-        )
-    return RenameSetCollection(sets=tuple(sets), mode=mode)
+        if got[1] != want:
+            raise ParseError(
+                f"set {i + 1} differs from {derived}{regroup}", line=got[0], source=source
+            )

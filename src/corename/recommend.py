@@ -18,7 +18,7 @@ from .chunks import anchor_lemma, apply_chunk
 from .errors import DegenerateResult, InvalidIdentifier, NoDataError, ParseError
 from .facts.model import CodeFacts, EntityKind, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import atomic_write, load_json
+from .fileio import atomic_write, json_number, load_json
 from .lexicon import Lemmatizer, Vocabulary, normalize
 from .mining import IdentifierKind, RenameRecord
 
@@ -63,12 +63,12 @@ class PriorProfile:
         return cls(
             weights={
                 IdentifierKind(trigger): {
-                    RelationshipKind(kind): float(value)
+                    RelationshipKind(kind): float(json_number(value))
                     for kind, value in table.items()
                 }
                 for trigger, table in data.get("weights", {}).items()
             },
-            default_weight=float(data.get("default_weight", 0.0)),
+            default_weight=float(json_number(data.get("default_weight", 0.0))),
         )
 
     @classmethod

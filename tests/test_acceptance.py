@@ -17,13 +17,7 @@ from _oracles import (
 )
 from test_relationships import GOLDEN
 
-from corename.analytics import (
-    chunk_type_rates,
-    co_rename_rate,
-    inflection_impact,
-    relationship_rates,
-    size_distribution,
-)
+from corename.analytics import build_repo_stats, co_rename_rate, size_distribution
 from corename.chunks import ChunkKind, diff_chunks, diff_lemmas, replay_chunks
 from corename.cli import run
 from corename.facts import (
@@ -261,7 +255,8 @@ def test_synthetic_corpus():
         (3, 3, 6, 1.0),
     ]
 
-    assert relationship_rates(coll, facts) == {
+    stats = build_repo_stats(records, facts)
+    assert stats.relationship_rates == {
         RelationshipKind.ACCESSES: 1 / 11,
         RelationshipKind.ASSIGNS: 2 / 11,
         RelationshipKind.CO_OCCURS_M: 2 / 11,
@@ -271,20 +266,20 @@ def test_synthetic_corpus():
         RelationshipKind.TYPE_V: 3 / 11,
     }
 
-    assert chunk_type_rates(records, "lemma") == {
+    assert stats.chunk_type_rates["lemma"] == {
         ChunkKind.INSERT: 2 / 34,
         ChunkKind.DELETE: 4 / 34,
         ChunkKind.REPLACE: 26 / 34,
         ChunkKind.OTHER: 1 / 34,
         ChunkKind.INFLECT: 1 / 34,
     }
-    assert chunk_type_rates(records, "raw") == {
+    assert stats.chunk_type_rates["raw"] == {
         ChunkKind.INSERT: 2 / 33,
         ChunkKind.DELETE: 4 / 33,
         ChunkKind.REPLACE: 27 / 33,
     }
 
-    impact = inflection_impact(records, facts)
+    impact = stats.inflection
     assert impact.raw_co_rename_rate == 21 / 33
     assert impact.lemma_co_rename_rate == 23 / 34
     assert impact.raw_set_count == 22
@@ -340,12 +335,9 @@ def test_inflection_merge():
             """
         }
     )
-    from corename.grouping import RenameSetCollection
-
-    rates = relationship_rates(
-        RenameSetCollection(sets=tuple(difference), mode="lemma"), facts
-    )
-    assert RelationshipKind.TYPE_V in rates
+    impact = build_repo_stats(records, facts).inflection
+    assert impact.new_set_count == len(difference)
+    assert RelationshipKind.TYPE_V in impact.new_set_relationship_rates
 
 
 @criterion(8, "pipeline determinism: two runs write identical bytes")

@@ -8,12 +8,9 @@ from _oracles import repo_stats_per_filter
 from corename.analytics import (
     SizeRow,
     build_repo_stats,
-    chunk_type_rates,
     co_rename_rate,
     emit_report,
-    inflection_impact,
     load_report,
-    relationship_rates,
     size_distribution,
 )
 from corename.chunks import ChunkKind
@@ -31,11 +28,12 @@ def record(commit, old, new, kind=IdentifierKind.VARIABLE, index=None):
     )
 
 
+def records_of(specs):
+    return [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
+
+
 def collection(specs, mode="lemma"):
-    records = [
-        record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)
-    ]
-    return build_rename_sets(attach_chunks(records, mode), mode)
+    return build_rename_sets(attach_chunks(records_of(specs), mode), mode)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +52,11 @@ def corpus_facts():
 @pytest.fixture(scope="module")
 def corpus_lemma(corpus_records):
     return build_rename_sets(attach_chunks(corpus_records, "lemma"), "lemma")
+
+
+@pytest.fixture(scope="module")
+def corpus_stats(corpus_records, corpus_facts):
+    return build_repo_stats(corpus_records, corpus_facts)
 
 
 class TestCoRenameRate:
@@ -109,27 +112,28 @@ class TestRelationshipRates:
         facts = extract_facts(
             {"M.java": (CORPUS / "src" / "c01" / "Metrics.java").read_text()}
         )
-        coll = collection(
+        records = records_of(
             [
                 ("c1", "MetricType", "MetricAttribute"),
                 ("c1", "metricType", "metricAttribute"),
                 ("c1", "getDisabledMetricTypes", "getDisabledMetricAttributes"),
             ]
         )
-        rates = relationship_rates(coll, facts)
+        rates = build_repo_stats(records, facts).relationship_rates
         assert rates == {
             RelationshipKind.TYPE_M: 0.5,
             RelationshipKind.TYPE_V: 0.5,
         }
         assert sum(rates.values()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_filter_without_renames_raises(self, corpus_lemma, corpus_facts):
-        only_class = collection([("c1", "aValue", "aResult"), ("c1", "bValue", "bResult")])
-        with pytest.raises(NoDataError):
-            relationship_rates(only_class, {}, IdentifierKind.METHOD)
+    def test_filter_without_renames_raises(self):
+        # no data for a filter is reported as None, never as a silent zero
+        records = records_of([("c1", "aValue", "aResult"), ("c1", "bValue", "bResult")])
+        stats = build_repo_stats(records, {}, filters=(IdentifierKind.METHOD,))
+        assert stats.filtered_rates == {IdentifierKind.METHOD: None}
 
-    def test_corpus_overall(self, corpus_lemma, corpus_facts):
-        assert relationship_rates(corpus_lemma, corpus_facts) == {
+    def test_corpus_overall(self, corpus_stats):
+        assert corpus_stats.relationship_rates == {
             RelationshipKind.ACCESSES: 1 / 11,
             RelationshipKind.ASSIGNS: 2 / 11,
             RelationshipKind.CO_OCCURS_M: 2 / 11,
@@ -185,43 +189,41 @@ class TestRelationshipRates:
         ],
         ids=lambda value: value.value if isinstance(value, IdentifierKind) else "",
     )
-    def test_corpus_filtered(self, corpus_lemma, corpus_facts, kind, expected):
-        assert relationship_rates(corpus_lemma, corpus_facts, kind) == expected
+    def test_corpus_filtered(self, corpus_stats, kind, expected):
+        assert corpus_stats.filtered_rates[kind] == expected
 
-    def test_workers_do_not_change_result(self, corpus_lemma, corpus_facts):
+    def test_workers_do_not_change_result(self, corpus_records, corpus_facts):
         # two plain runs agree exactly, dict order included
-        first = relationship_rates(corpus_lemma, corpus_facts)
-        second = relationship_rates(corpus_lemma, corpus_facts)
+        first = build_repo_stats(corpus_records, corpus_facts).relationship_rates
+        second = build_repo_stats(corpus_records, corpus_facts).relationship_rates
         assert list(first.items()) == list(second.items())
 
-    def test_rate_maps_sum_to_one(self, corpus_lemma, corpus_facts):
-        for kind in (None, *IdentifierKind):
-            rates = relationship_rates(corpus_lemma, corpus_facts, kind)
+    def test_rate_maps_sum_to_one(self, corpus_stats):
+        for rates in (corpus_stats.relationship_rates, *corpus_stats.filtered_rates.values()):
             assert sum(rates.values()) == pytest.approx(1.0, abs=1e-9)
             assert all(0.0 <= v <= 1.0 for v in rates.values())
 
 
 class TestChunkTypeRates:
     def test_single_inflection(self):
-        records = [record("c1", "node", "nodes", index=0)]
-        assert chunk_type_rates(records, "raw") == {ChunkKind.REPLACE: 1.0}
-        assert chunk_type_rates(records, "lemma") == {ChunkKind.INFLECT: 1.0}
+        rates = build_repo_stats([record("c1", "node", "nodes", index=0)]).chunk_type_rates
+        assert rates["raw"] == {ChunkKind.REPLACE: 1.0}
+        assert rates["lemma"] == {ChunkKind.INFLECT: 1.0}
 
     def test_case_change(self):
-        records = [record("c1", "TIMES", "times", index=0)]
-        assert chunk_type_rates(records, "lemma") == {ChunkKind.OTHER: 1.0}
-        with pytest.raises(NoDataError):
-            chunk_type_rates(records, "raw")
+        rates = build_repo_stats([record("c1", "TIMES", "times", index=0)]).chunk_type_rates
+        assert rates["lemma"] == {ChunkKind.OTHER: 1.0}
+        assert rates["raw"] is None
 
-    def test_corpus(self, corpus_records):
-        assert chunk_type_rates(corpus_records, "lemma") == {
+    def test_corpus(self, corpus_stats):
+        assert corpus_stats.chunk_type_rates["lemma"] == {
             ChunkKind.INSERT: 2 / 34,
             ChunkKind.DELETE: 4 / 34,
             ChunkKind.REPLACE: 26 / 34,
             ChunkKind.OTHER: 1 / 34,
             ChunkKind.INFLECT: 1 / 34,
         }
-        assert chunk_type_rates(corpus_records, "raw") == {
+        assert corpus_stats.chunk_type_rates["raw"] == {
             ChunkKind.INSERT: 2 / 33,
             ChunkKind.DELETE: 4 / 33,
             ChunkKind.REPLACE: 27 / 33,
@@ -231,9 +233,19 @@ class TestChunkTypeRates:
 class TestInflectionImpact:
     def test_no_inflection_corpus(self):
         specs = [("c1", "aValue", "aResult"), ("c1", "bValue", "bResult")]
-        records = [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
-        impact = inflection_impact(records)
+        impact = build_repo_stats(records_of(specs)).inflection
         assert impact.raw_co_rename_rate == impact.lemma_co_rename_rate
+        assert impact.new_set_count == 0
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_records_without_index(self, indexed):
+        # a set is new by the positions of its members, not by record objects
+        records = [
+            record("c1", "getNode", "getItem", index=0 if indexed else None),
+            record("c1", "node", "item", index=1 if indexed else None),
+        ]
+        impact = build_repo_stats(records).inflection
+        assert impact.lemma_set_count == impact.raw_set_count == 1
         assert impact.new_set_count == 0
 
     def test_query_merge(self):
@@ -250,12 +262,12 @@ class TestInflectionImpact:
                 """
             }
         )
-        impact = inflection_impact(records, facts)
+        impact = build_repo_stats(records, facts).inflection
         assert impact.new_set_count == 1
         assert RelationshipKind.TYPE_V in impact.new_set_relationship_rates
 
-    def test_corpus(self, corpus_records, corpus_facts):
-        impact = inflection_impact(corpus_records, corpus_facts)
+    def test_corpus(self, corpus_stats):
+        impact = corpus_stats.inflection
         assert impact.raw_co_rename_rate == 21 / 33
         assert impact.lemma_co_rename_rate == 23 / 34
         assert impact.raw_set_count == 22
@@ -269,8 +281,8 @@ class TestInflectionImpact:
         }
 
     def test_two_pass_symmetry(self, corpus_records, corpus_facts):
-        first = inflection_impact(corpus_records, corpus_facts)
-        second = inflection_impact(list(reversed(corpus_records)), corpus_facts)
+        first = build_repo_stats(corpus_records, corpus_facts).inflection
+        second = build_repo_stats(list(reversed(corpus_records)), corpus_facts).inflection
         assert first.raw_co_rename_rate == second.raw_co_rename_rate
         assert first.lemma_co_rename_rate == second.lemma_co_rename_rate
         assert first.new_set_count == second.new_set_count
@@ -278,8 +290,7 @@ class TestInflectionImpact:
 
 class TestReports:
     def build(self, corpus_records, corpus_facts):
-        coll = build_rename_sets(attach_chunks(corpus_records, "lemma"), "lemma")
-        return build_repo_stats(corpus_records, coll, corpus_facts)
+        return build_repo_stats(corpus_records, corpus_facts)
 
     def test_round_trip(self, corpus_records, corpus_facts, tmp_path):
         stats = self.build(corpus_records, corpus_facts)
@@ -328,8 +339,7 @@ class TestReports:
 
     def test_no_data_serialized_as_null(self, tmp_path):
         records = [record("c1", "aValue", "aResult", index=0)]
-        coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
-        stats = build_repo_stats(records, coll, facts=None)
+        stats = build_repo_stats(records, facts=None)
         assert stats.relationship_rates is None
         emit_report(stats, tmp_path)
         text = (tmp_path / "report.json").read_text()
@@ -339,7 +349,8 @@ class TestReports:
 
 class TestOnePassMatchesPerFilterPath:
     """build_repo_stats against a copy of the path it replaced, which ran
-    relationship detection once per filter and chunked each mode twice."""
+    relationship detection once per filter, chunked each mode twice, and
+    took the headline sets as built by ``group``."""
 
     @pytest.mark.parametrize("mode", ["lemma", "raw"])
     @pytest.mark.parametrize("facts_kind", ["per_commit", "single", "none"])
@@ -350,14 +361,15 @@ class TestOnePassMatchesPerFilterPath:
             "none": None,
         }[facts_kind]
         coll = build_rename_sets(attach_chunks(corpus_records, mode), mode)
-        stats = build_repo_stats(corpus_records, coll, facts)
+        stats = build_repo_stats(corpus_records, facts, mode=mode)
         expected = repo_stats_per_filter(corpus_records, coll, facts)
         assert stats == expected
         assert stats.to_json() == expected.to_json()
+        assert stats.collection == coll
 
     def test_filter_subset(self, corpus_records, corpus_facts, corpus_lemma):
         filters = (IdentifierKind.METHOD, IdentifierKind.CLASS)
-        stats = build_repo_stats(corpus_records, corpus_lemma, corpus_facts, filters)
+        stats = build_repo_stats(corpus_records, corpus_facts, filters=filters)
         expected = repo_stats_per_filter(
             corpus_records, corpus_lemma, corpus_facts, filters
         )
@@ -377,11 +389,11 @@ class TestOnePassMatchesPerFilterPath:
             "c2": extract_facts({"A.java": "class A { int itemCount; int itemSize; }"}),
         }
         coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
-        stats = build_repo_stats(records, coll, facts)
+        stats = build_repo_stats(records, facts)
         assert stats == repo_stats_per_filter(records, coll, facts)
         assert stats.work.detections == 2
 
-    def test_each_pair_detected_once(self, corpus_records, corpus_facts, corpus_lemma, monkeypatch):
+    def test_each_pair_detected_once(self, corpus_records, corpus_facts, monkeypatch):
         import corename.analytics as analytics
 
         calls = []
@@ -392,6 +404,6 @@ class TestOnePassMatchesPerFilterPath:
             return detect(facts, a, b)
 
         monkeypatch.setattr(analytics, "detect_relationships", counting)
-        stats = build_repo_stats(corpus_records, corpus_lemma, corpus_facts)
+        stats = build_repo_stats(corpus_records, corpus_facts)
         assert len(calls) == len(set(calls)) == stats.work.detections
         assert stats.work.pairs >= stats.work.detections

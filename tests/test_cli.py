@@ -629,6 +629,33 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "case", ["raw-sets-lemma-mode", "lemma-sets-raw-mode", "older-renames", "lemma-table"]
+    )
+    def test_sets_not_derived_from_the_renames(self, tmp_path, capsys, case):
+        # analyze derives the sets itself; --sets must hold exactly those
+        renames, sets_path = CORPUS / "renames.jsonl", tmp_path / "sets.jsonl"
+        group = ["group", "--renames", str(renames), "--out", str(sets_path)]
+        argv = self.analyze_argv(tmp_path, sets_path)
+        if case == "raw-sets-lemma-mode":
+            group += ["--mode", "raw"]
+        elif case == "lemma-sets-raw-mode":
+            argv += ["--mode", "raw"]
+        elif case == "older-renames":
+            older = tmp_path / "older.jsonl"
+            older.write_text("".join(renames.read_text().splitlines(keepends=True)[:-1]))
+            group[2] = str(older)
+        else:
+            table = tmp_path / "forms.txt"
+            table.write_text("attribute trait\n")
+            group += ["--lemma-table", str(table)]
+        assert run(group) == 0
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"corename: error: {sets_path}: line " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"entities": [{"id": 0, "kind": "Class"',
@@ -693,9 +720,14 @@ class TestMalformedInputs:
             lambda report: {**report, "size_distribution": [[2, 1, 2]]},
             lambda report: {**report, "filtered_rates": [1]},
             lambda report: {**report, "chunk_type_rates": {"raw": {"Shuffle": 0.5}}},
+            lambda report: {**report, "record_count": "x"},
+            lambda report: {**report, "chunk_type_rates": {"raw": {"Replace": [1]}}},
+            lambda report: {**report, "mode": "stem"},
+            lambda report: {**report, "size_distribution": [[2.5, 1, 2, 1.0]]},
         ],
         ids=["empty", "list", "rate", "huge-rate", "size-row-rate", "short-size-row",
-             "filtered-list", "chunk-kind"],
+             "filtered-list", "chunk-kind", "count-string", "chunk-rate-list", "mode",
+             "size-row-size"],
     )
     def test_report_shape(self, tmp_path, facts_dir, capsys, change):
         report = json.loads((analyze(tmp_path, facts_dir, "report") / "report.json").read_text())
@@ -717,9 +749,12 @@ class TestMalformedInputs:
             {"weights": {"Class": {"Unknown": 1.0}}},
             {"default_weight": None},
             {"weights": {"Class": {"TypeV": 10**400}}},
+            {"weights": {"Class": {"TypeV": True}}},
+            {"weights": {"Class": {"TypeV": "0.5"}}},
+            {"default_weight": "0.5"},
         ],
         ids=["weight-string", "list", "table-list", "trigger", "kind", "default-null",
-             "huge-weight"],
+             "huge-weight", "weight-true", "weight-digits", "default-digits"],
     )
     def test_profile_shape(self, tmp_path, capsys, profile):
         bad = tmp_path / "bad.json"

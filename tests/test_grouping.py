@@ -14,11 +14,11 @@ from corename.errors import ParseError
 from corename.grouping import (
     attach_chunks,
     build_rename_sets,
+    check_rename_sets,
     chunk_by_mode,
     chunk_keys,
     collection_difference,
     enumerate_pairs,
-    load_rename_sets,
     serialize_rename_sets,
 )
 from corename.lexicon import MODES, Lemmatizer
@@ -175,8 +175,33 @@ class TestSerialization:
         serialize_rename_sets(coll, buffer)
         lines = buffer.getvalue().splitlines()
         assert all(set(json.loads(l)) == {"commit", "key", "members"} for l in lines)
-        again = load_rename_sets(lines, records, "lemma")
-        assert again == coll
+        check_rename_sets(lines, coll, len(records))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: [lines[1], lines[0], lines[2]], "line 1: set 1 differs from"),
+            (lambda lines: [*lines, lines[2]], "line 4: set 4 differs from"),
+            (lambda lines: [lines[0], "", lines[1]], "line 4: 1 of"),
+        ],
+        ids=["order", "extra", "missing"],
+    )
+    def test_sets_other_than_the_derived_ones(self, edit, message):
+        specs = [
+            ("c1", "MetricType", "MetricAttribute"),
+            ("c1", "metricType", "metricAttribute"),
+            ("c2", "minimumVersion", "versionSpec"),
+        ]
+        records = [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
+        coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
+        buffer = io.StringIO()
+        serialize_rename_sets(coll, buffer)
+        lines = edit(buffer.getvalue().splitlines())
+        with pytest.raises(ParseError) as caught:
+            check_rename_sets(lines, coll, len(records), source="sets.jsonl")
+        assert str(caught.value).startswith(
+            f"sets.jsonl: {message} the 3 sets derived from the renames in lemma mode"
+        )
 
     @pytest.mark.parametrize(
         "line, message",
@@ -192,10 +217,12 @@ class TestSerialization:
         ],
     )
     def test_malformed_line_names_file_and_line(self, line, message):
+        # the shape of every line is checked before any set is compared
         records = [record("c1", "aValue", "aResult", index=i) for i in range(3)]
+        coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
         good = '{"commit": "c1", "key": "k", "members": [0, 1]}'
         with pytest.raises(ParseError) as caught:
-            load_rename_sets([good, "", line], records, "lemma", source="sets.jsonl")
+            check_rename_sets([good, "", line], coll, len(records), source="sets.jsonl")
         assert str(caught.value).startswith("sets.jsonl: line 3: ")
         assert message in str(caught.value)
         assert caught.value.line == 3
