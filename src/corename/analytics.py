@@ -16,6 +16,7 @@ from .facts.model import CodeFacts, RelationshipKind
 from .facts.relations import detect_relationships
 from .fileio import atomic_write, json_number, load_json
 from .grouping import (
+    Chunks,
     MeaningfulRenameSet,
     RenameSetCollection,
     build_rename_sets,
@@ -27,21 +28,6 @@ from .lexicon import MODES, Lemmatizer
 from .mining import IdentifierKind, RenameRecord
 
 _EMPTY_FACTS = CodeFacts()
-
-
-def _facts_for(facts, commit: str) -> CodeFacts:
-    """Resolve the facts snapshot for a commit.
-
-    Accepts a mapping commit -> CodeFacts (missing commits get empty
-    facts) or a single CodeFacts used for every commit, which is a
-    documented approximation for ingested records without repository
-    access.
-    """
-    if facts is None:
-        return _EMPTY_FACTS
-    if isinstance(facts, CodeFacts):
-        return facts
-    return facts.get(commit, _EMPTY_FACTS)
 
 
 def co_rename_rate(coll: RenameSetCollection) -> float:
@@ -96,17 +82,20 @@ def size_distribution(coll: RenameSetCollection) -> list[SizeRow]:
 class _Detections:
     """Relationship counts per rename set within one analysis.
 
-    Each distinct (snapshot, unordered name pair) is detected once, however
-    many sets or rates ask for it.  ``pairs`` counts the pairs evaluated.
+    A set's snapshot is its commit's own facts, else ``default``, else
+    empty facts.  Each distinct (snapshot, unordered name pair) is detected
+    once, however many sets or rates ask for it.  ``pairs`` counts the
+    pairs evaluated.
     """
 
-    def __init__(self, facts):
-        self.facts = facts
+    def __init__(self, facts, default):
+        self.facts = facts or {}
+        self.default = _EMPTY_FACTS if default is None else default
         self.found: dict[tuple[int, str, str], set[RelationshipKind]] = {}
         self.pairs = 0
 
     def count(self, rename_set: MeaningfulRenameSet) -> Counter[RelationshipKind]:
-        snapshot = _facts_for(self.facts, rename_set.commit)
+        snapshot = self.facts.get(rename_set.commit, self.default)
         counts: Counter[RelationshipKind] = Counter()
         for left, right in enumerate_pairs(rename_set):
             a, b = sorted((left.old_name, right.old_name))
@@ -143,8 +132,8 @@ def _pooled_rates(
     )
 
 
-def _chunk_rates(chunked: list[RenameRecord]) -> dict[ChunkKind, float]:
-    counts = Counter(chunk.kind for record in chunked for chunk in record.chunks)
+def _chunk_rates(chunks: list[Chunks]) -> dict[ChunkKind, float]:
+    counts = Counter(chunk.kind for record_chunks in chunks for chunk in record_chunks)
     return _shares(counts, "no operational chunks")
 
 
@@ -178,7 +167,7 @@ def _or_none(fn, *args, **kw):
 
 
 def _inflection(
-    collections: dict[str, RenameSetCollection], detections
+    collections: dict[str, RenameSetCollection], detections, with_facts: bool
 ) -> InflectionImpact:
     """Compare the two modes' sets; relationship rates are computed only
     inside the newly created sets, lemma-mode sets whose membership matches
@@ -186,7 +175,7 @@ def _inflection(
     raw_coll, lemma_coll = collections["raw"], collections["lemma"]
     new_sets = collection_difference(lemma_coll, raw_coll)
     new_rates = None
-    if detections.facts is not None and new_sets:
+    if with_facts and new_sets:
         new_rates = _or_none(_pooled_rates, detections.count_sets(new_sets))
     return InflectionImpact(
         raw_co_rename_rate=_or_none(co_rename_rate, raw_coll),
@@ -202,10 +191,14 @@ def _inflection(
 
 @dataclass(frozen=True)
 class WorkCounts:
-    """How much relationship work one analysis did (not in the report)."""
+    """How much relationship work one analysis did, and on which facts the
+    headline sets' commits were analyzed (not in the report)."""
 
     pairs: int
     detections: int
+    own_commits: int
+    default_commits: int
+    empty_commits: int
 
 
 @dataclass(frozen=True)
@@ -333,7 +326,8 @@ def _mode(value) -> str:
 
 def build_repo_stats(
     records: list[RenameRecord],
-    facts=None,
+    facts: Mapping[str, CodeFacts] | None = None,
+    default: CodeFacts | None = None,
     mode: str = "lemma",
     filters: Iterable[IdentifierKind] = tuple(IdentifierKind),
     lemmatizer: Lemmatizer | None = None,
@@ -344,13 +338,19 @@ def build_repo_stats(
     ``chunk_by_mode``, and each mode's rename sets are built once: the
     ``mode`` sets give the headline statistics, both the inflection
     comparison.  Every rate is summed from per-set counts, and each
-    (snapshot, pair) is detected once in ``facts`` (see ``_facts_for``).
+    (snapshot, pair) is detected once.  A commit's snapshot is
+    ``facts[commit]``, else ``default`` (a single-snapshot approximation
+    for records without repository access), else empty facts; with
+    neither, the inflection section has no relationship rates.
     """
-    chunked = chunk_by_mode(records, MODES, lemmatizer)
-    collections = {m: build_rename_sets(chunked[m], m) for m in MODES}
+    chunks = chunk_by_mode(records, MODES, lemmatizer)
+    collections = {m: build_rename_sets(records, chunks[m], m) for m in MODES}
     coll = collections[mode]
-    detections = _Detections(facts)
+    detections = _Detections(facts, default)
     counted = detections.count_sets(coll.sets)
+    commits = {s.commit for s in coll.sets}
+    own = len(commits & detections.facts.keys())
+    on_default = len(commits) - own if default is not None else 0
     return RepoStats(
         mode=mode,
         record_count=len(records),
@@ -362,11 +362,17 @@ def build_repo_stats(
         filtered_rates={
             kind: _or_none(_pooled_rates, counted, kind) for kind in filters
         },
-        chunk_type_rates={
-            m: _or_none(_chunk_rates, chunked[m]) for m in MODES
-        },
-        inflection=_inflection(collections, detections),
-        work=WorkCounts(pairs=detections.pairs, detections=len(detections.found)),
+        chunk_type_rates={m: _or_none(_chunk_rates, chunks[m]) for m in MODES},
+        inflection=_inflection(
+            collections, detections, facts is not None or default is not None
+        ),
+        work=WorkCounts(
+            pairs=detections.pairs,
+            detections=len(detections.found),
+            own_commits=own,
+            default_commits=on_default,
+            empty_commits=len(commits) - own - on_default,
+        ),
         collection=coll,
     )
 

@@ -14,7 +14,6 @@ import io
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import CorenameError
@@ -112,14 +111,12 @@ def _cmd_mine(args) -> int:
                     skipped += 1
                     continue
                 compared += 1
-                found = detect_renames(
+                records += detect_renames(
                     extract_facts({path: before}),
                     extract_facts({path: after}),
                     commit=commit.commit,
                     file=path,
                 )
-                for record in found:
-                    records.append(replace(record, index=len(records)))
         work = (
             f"mined {commits} commits: {compared} file pairs compared, "
             f"{skipped} added or deleted files skipped"
@@ -132,13 +129,13 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    from .grouping import attach_chunks, build_rename_sets, serialize_rename_sets
+    from .grouping import build_rename_sets, chunk_by_mode, serialize_rename_sets
     from .mining import load_rename_records_file
 
     mode = args.mode
     records = load_rename_records_file(args.renames)
-    chunked = attach_chunks(records, mode, _lemmatizer(args))
-    collection = build_rename_sets(chunked, mode)
+    chunks = chunk_by_mode(records, (mode,), _lemmatizer(args))[mode]
+    collection = build_rename_sets(records, chunks, mode)
     _write_lines(args.out, lambda fp: serialize_rename_sets(collection, fp))
     print(
         f"wrote {len(collection)} rename sets "
@@ -177,18 +174,15 @@ def _cmd_analyze(args) -> int:
     from .mining import load_rename_records_file
 
     records = load_rename_records_file(args.renames)
-    facts = fallback = None
-    own_facts = set()
+    facts = default = None
     if args.facts_dir:
         facts = _load_facts_dir(args.facts_dir)
-        fallback = facts.pop("default", None)
-        own_facts = set(facts)
-        if fallback is not None:
-            # single-snapshot approximation for commits without facts
-            facts = {**dict.fromkeys((r.commit for r in records), fallback), **facts}
+        # default.json: a single-snapshot approximation for commits without facts
+        default = facts.pop("default", None)
     stats = build_repo_stats(
         records,
         facts,
+        default,
         mode=args.mode,
         filters=tuple(IdentifierKind(k) for k in args.filter)
         if args.filter
@@ -199,16 +193,14 @@ def _cmd_analyze(args) -> int:
     check_rename_sets(
         read_lines(args.sets), stats.collection, len(records), source=args.sets
     )
-    commits = {s.commit for s in stats.collection.sets}
-    own = len(commits & own_facts)
-    default = len(commits) - own if fallback is not None else 0
-    if args.facts_dir and fallback is None and len(commits) > own:
+    work = stats.work
+    if args.facts_dir and work.empty_commits:
         logger.warning(
             "%s: no facts file for %d of %d commits and no default.json; "
             "those commits are analyzed on empty facts",
             args.facts_dir,
-            len(commits) - own,
-            len(commits),
+            work.empty_commits,
+            work.own_commits + work.empty_commits,
         )
     written = emit_report(stats, args.out, plots=args.plots)
     print(
@@ -216,9 +208,10 @@ def _cmd_analyze(args) -> int:
         file=sys.stderr,
     )
     print(
-        f"analyzed {stats.set_count} sets: {stats.work.pairs} pairs evaluated, "
-        f"{stats.work.detections} distinct detections; commits: {own} own facts, "
-        f"{default} default.json, {len(commits) - own - default} empty facts",
+        f"analyzed {stats.set_count} sets: {work.pairs} pairs evaluated, "
+        f"{work.detections} distinct detections; commits: {work.own_commits} "
+        f"own facts, {work.default_commits} default.json, "
+        f"{work.empty_commits} empty facts",
         file=sys.stderr,
     )
     return 0

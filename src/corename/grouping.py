@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, zip_longest
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .chunks import OperationalChunk, chunk_key, diff_lemmas, form_chunks
 from .errors import InvalidIdentifier, ParseError
 from .lexicon import MODES, Lemmatizer, Vocabulary
-from .mining import RenameRecord, with_chunks
+from .mining import RenameRecord
+
+Chunks = tuple[OperationalChunk, ...]
 
 logger = logging.getLogger(__name__)
 
@@ -22,9 +24,9 @@ class MeaningfulRenameSet:
 
     commit: str
     key: str
+    # the caller's own records, and their places in the list the set was
+    # built from
     members: tuple[RenameRecord, ...]
-    # the members' places in the record list the set was built from, which
-    # name the same renames in either mode's chunked list
     positions: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -53,16 +55,16 @@ def chunk_by_mode(
     records: Iterable[RenameRecord],
     modes: Iterable[str] = MODES,
     lemmatizer: Lemmatizer | None = None,
-) -> dict[str, list[RenameRecord]]:
+) -> dict[str, list[Chunks]]:
     """Compute each record's operational chunks once per mode, in one pass.
 
+    Returns, for each mode, one chunk tuple per record, in record order.
     Each distinct name is split once and its lemma sequence is derived
     from the split.  Each distinct pair of lemma sequences is diffed once
     over all modes (in raw mode the lemmas are the folded words); when
     that diff is empty, the record's Inflect/Other chunks come from its
-    words.  Records whose names are not splittable identifiers keep an
-    empty chunk list in every mode (they then belong to no rename set)
-    and are logged once.
+    words.  Records whose names are not splittable identifiers get ``()``
+    in every mode (they then belong to no rename set) and are logged once.
     """
     modes = tuple(modes)
     for mode in modes:
@@ -72,7 +74,7 @@ def chunk_by_mode(
     # name -> one (sequence, lemmas) per mode, or the reason it has none
     sequences: dict[str, list | InvalidIdentifier] = {}
     # (old lemmas, new lemmas) -> their diff_lemmas chunks
-    lemma_chunks: dict[tuple, tuple[OperationalChunk, ...]] = {}
+    lemma_chunks: dict[tuple, Chunks] = {}
 
     def words(name):
         found = sequences.get(name)
@@ -89,7 +91,7 @@ def chunk_by_mode(
             sequences[name] = found
         return found
 
-    out: dict[str, list[RenameRecord]] = {mode: [] for mode in modes}
+    out: dict[str, list[Chunks]] = {mode: [] for mode in modes}
     for record in records:
         old, new = words(record.old_name), words(record.new_name)
         invalid = [s for s in (old, new) if isinstance(s, InvalidIdentifier)]
@@ -101,7 +103,7 @@ def chunk_by_mode(
                 invalid[0],
             )
             for mode in modes:
-                out[mode].append(with_chunks(record, ()))
+                out[mode].append(())
             continue
         for mode, (old_seq, old_lemmas), (new_seq, new_lemmas) in zip(
             modes, old, new
@@ -111,8 +113,8 @@ def chunk_by_mode(
             if chunks is None:
                 chunks = lemma_chunks[key] = tuple(diff_lemmas(*key))
             if not chunks:
-                chunks = form_chunks(old_seq, new_seq, mode)
-            out[mode].append(with_chunks(record, chunks))
+                chunks = tuple(form_chunks(old_seq, new_seq, mode))
+            out[mode].append(chunks)
     return out
 
 
@@ -121,28 +123,34 @@ def attach_chunks(
     mode: str,
     lemmatizer: Lemmatizer | None = None,
 ) -> list[RenameRecord]:
-    """Compute each record's operational chunks for the given mode; see
-    ``chunk_by_mode``."""
-    return chunk_by_mode(records, (mode,), lemmatizer)[mode]
+    """Copies of the records carrying their operational chunks for the
+    given mode, as ``recommend`` takes its trigger; see ``chunk_by_mode``."""
+    records = list(records)
+    chunks = chunk_by_mode(records, (mode,), lemmatizer)[mode]
+    return [replace(r, chunks=c) for r, c in zip(records, chunks)]
 
 
-def chunk_keys(record: RenameRecord) -> tuple[str, ...]:
-    """The distinct keys of the record's chunks, in chunk order."""
-    return tuple(dict.fromkeys(map(chunk_key, record.chunks)))
+def chunk_keys(chunks: Chunks) -> tuple[str, ...]:
+    """The distinct keys of a record's chunks, in chunk order."""
+    return tuple(dict.fromkeys(map(chunk_key, chunks)))
 
 
 def build_rename_sets(
-    records: list[RenameRecord], mode: str
+    records: Sequence[RenameRecord], chunks: Sequence[Chunks], mode: str
 ) -> RenameSetCollection:
     """Group records into one set per (commit, chunk key) they share.
 
-    A rename with several distinct chunk keys joins several sets; a rename
-    with no chunks joins none.  Sets are ordered by (commit, key) and each
-    lists its members in input order without duplicates.
+    ``chunks`` holds each record's chunks, by position, as ``chunk_by_mode``
+    gives them for ``mode``.  A rename with several distinct chunk keys
+    joins several sets; a rename with no chunks joins none.  Sets are
+    ordered by (commit, key) and each lists its members in input order
+    without duplicates; the members are the given record objects.
     """
+    if len(records) != len(chunks):
+        raise ValueError(f"{len(chunks)} chunk tuples for {len(records)} records")
     grouped: dict[tuple[str, str], list[int]] = {}
-    for position, record in enumerate(records):
-        for key in chunk_keys(record):
+    for position, (record, record_chunks) in enumerate(zip(records, chunks)):
+        for key in chunk_keys(record_chunks):
             grouped.setdefault((record.commit, key), []).append(position)
     sets = tuple(
         MeaningfulRenameSet(
@@ -175,14 +183,14 @@ def collection_difference(
 
 
 def serialize_rename_sets(collection: RenameSetCollection, fp) -> None:
-    """Write one JSON object per set: {commit, key, members: [indices]}."""
+    """Write one JSON object per set: {commit, key, members: [positions]}."""
     for s in collection.sets:
         fp.write(
             json.dumps(
                 {
                     "commit": s.commit,
                     "key": s.key,
-                    "members": [m.index for m in s.members],
+                    "members": list(s.positions),
                 },
                 sort_keys=True,
             )
@@ -242,7 +250,7 @@ def check_rename_sets(
                     source=source,
                 )
         found.append((number, (commit, key, members)))
-    expected = [(s.commit, s.key, [m.index for m in s.members]) for s in collection.sets]
+    expected = [(s.commit, s.key, list(s.positions)) for s in collection.sets]
     derived = f"the {len(expected)} sets derived from the renames in {collection.mode} mode"
     regroup = "; group the renames with the same mode and lemma table"
     for i, (got, want) in enumerate(zip_longest(found, expected)):

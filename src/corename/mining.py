@@ -169,7 +169,6 @@ def detect_renames(
                     new_name=new_entity.name,
                     file=file or old_entity.file,
                     container=key[0] or None,
-                    index=len(records),
                 )
             )
     return records
@@ -303,15 +302,3 @@ def walk_history(
                 proc.stdout.close()
                 proc.wait()
 
-
-def with_chunks(record: RenameRecord, chunks) -> RenameRecord:
-    return RenameRecord(
-        record.commit,
-        record.kind,
-        record.old_name,
-        record.new_name,
-        record.file,
-        record.container,
-        tuple(chunks),
-        record.index,
-    )

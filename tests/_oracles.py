@@ -402,9 +402,10 @@ def normalize_reference(name: str, mode: str = "lemma", lemmatizer=None):
 def attach_chunks_per_record(records, mode, lemmatizer=None):
     """``attach_chunks`` splitting both names of every record afresh with
     the old splitter, and diffing every record on its own."""
+    from dataclasses import replace
+
     from corename.chunks import diff_chunks
     from corename.errors import InvalidIdentifier
-    from corename.mining import with_chunks
 
     out = []
     for record in records:
@@ -412,10 +413,106 @@ def attach_chunks_per_record(records, mode, lemmatizer=None):
             old_seq = normalize_reference(record.old_name, mode, lemmatizer)
             new_seq = normalize_reference(record.new_name, mode, lemmatizer)
         except InvalidIdentifier:
-            out.append(with_chunks(record, ()))
+            out.append(replace(record, chunks=()))
             continue
-        out.append(with_chunks(record, diff_chunks(old_seq, new_seq, mode)))
+        out.append(
+            replace(record, chunks=tuple(diff_chunks(old_seq, new_seq, mode)))
+        )
     return out
+
+
+def _with_chunks(record, chunks):
+    from corename.mining import RenameRecord
+
+    return RenameRecord(
+        record.commit,
+        record.kind,
+        record.old_name,
+        record.new_name,
+        record.file,
+        record.container,
+        tuple(chunks),
+        record.index,
+    )
+
+
+def chunk_by_mode_copying(records, modes=("raw", "lemma"), lemmatizer=None):
+    """``chunk_by_mode`` as it was when it copied every record once per mode
+    to attach that mode's chunks."""
+    import logging
+
+    from corename.chunks import diff_lemmas, form_chunks
+    from corename.errors import InvalidIdentifier
+    from corename.lexicon import MODES, Vocabulary
+
+    logger = logging.getLogger("corename.grouping")
+    modes = tuple(modes)
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode: {mode!r}")
+    vocabulary = Vocabulary(lemmatizer)
+    sequences = {}
+    lemma_chunks = {}
+
+    def words(name):
+        found = sequences.get(name)
+        if found is None:
+            try:
+                raw = vocabulary.split(name)
+            except InvalidIdentifier as exc:
+                found = exc
+            else:
+                found = []
+                for mode in modes:
+                    seq = raw if mode == "raw" else vocabulary.lemmatized(raw)
+                    found.append((seq, seq.lemmas))
+            sequences[name] = found
+        return found
+
+    out = {mode: [] for mode in modes}
+    for record in records:
+        old, new = words(record.old_name), words(record.new_name)
+        invalid = [s for s in (old, new) if isinstance(s, InvalidIdentifier)]
+        if invalid:
+            logger.warning(
+                "skipping rename %s -> %s: %s",
+                record.old_name,
+                record.new_name,
+                invalid[0],
+            )
+            for mode in modes:
+                out[mode].append(_with_chunks(record, ()))
+            continue
+        for mode, (old_seq, old_lemmas), (new_seq, new_lemmas) in zip(
+            modes, old, new
+        ):
+            key = (old_lemmas, new_lemmas)
+            chunks = lemma_chunks.get(key)
+            if chunks is None:
+                chunks = lemma_chunks[key] = tuple(diff_lemmas(*key))
+            if not chunks:
+                chunks = form_chunks(old_seq, new_seq, mode)
+            out[mode].append(_with_chunks(record, chunks))
+    return out
+
+
+def build_rename_sets_copying(chunked, mode):
+    """``build_rename_sets`` as it was, over copies of the records that
+    carry their own chunks; its members are those copies."""
+    from corename.chunks import chunk_key
+    from corename.grouping import MeaningfulRenameSet, RenameSetCollection
+
+    grouped = {}
+    for position, record in enumerate(chunked):
+        for key in dict.fromkeys(map(chunk_key, record.chunks)):
+            grouped.setdefault((record.commit, key), []).append(position)
+    sets = tuple(
+        MeaningfulRenameSet(
+            commit, key, tuple(chunked[p] for p in positions), tuple(positions)
+        )
+        for (commit, key), positions in sorted(grouped.items())
+    )
+    return RenameSetCollection(sets=sets, mode=mode)
 
 
 def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=None):
@@ -432,12 +529,13 @@ def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=No
     from corename.facts.relations import detect_relationships
     from corename.grouping import (
         RenameSetCollection,
-        attach_chunks,
-        build_rename_sets,
         collection_difference,
         enumerate_pairs,
     )
     from corename.mining import IdentifierKind
+
+    def chunked(mode):
+        return chunk_by_mode_copying(records, (mode,), lemmatizer)[mode]
 
     empty = CodeFacts()
 
@@ -469,7 +567,7 @@ def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=No
     def chunk_type_rates(mode):
         counts = Counter(
             chunk.kind
-            for record in attach_chunks(records, mode, lemmatizer)
+            for record in chunked(mode)
             for chunk in record.chunks
         )
         total = sum(counts.values())
@@ -483,10 +581,8 @@ def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=No
         except NoDataError:
             return None
 
-    raw_coll = build_rename_sets(attach_chunks(records, "raw", lemmatizer), "raw")
-    lemma_coll = build_rename_sets(
-        attach_chunks(records, "lemma", lemmatizer), "lemma"
-    )
+    raw_coll = build_rename_sets_copying(chunked("raw"), "raw")
+    lemma_coll = build_rename_sets_copying(chunked("lemma"), "lemma")
     new_sets = collection_difference(lemma_coll, raw_coll)
     new_rates = None
     if facts is not None and new_sets:

@@ -29,6 +29,7 @@ from corename.facts import (
 from corename.grouping import (
     attach_chunks,
     build_rename_sets,
+    chunk_by_mode,
     collection_difference,
 )
 from corename.lexicon import normalize
@@ -37,6 +38,11 @@ from corename.recommend import recommend
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
+
+
+def sets_of(records, mode):
+    chunks = chunk_by_mode(records, (mode,))[mode]
+    return build_rename_sets(records, chunks, mode)
 
 
 def criterion(number, label):
@@ -131,19 +137,16 @@ def test_chunk_examples():
         (ChunkKind.REPLACE, ("node",), ("nodes",))
     ]
     # one rename with two chunks lands in both of its sets
-    records = attach_chunks(
-        [
-            RenameRecord(
-                commit="c",
-                kind=IdentifierKind.VARIABLE,
-                old_name="minimumVersion",
-                new_name="versionSpec",
-                index=0,
-            )
-        ],
-        "raw",
-    )
-    coll = build_rename_sets(records, "raw")
+    records = [
+        RenameRecord(
+            commit="c",
+            kind=IdentifierKind.VARIABLE,
+            old_name="minimumVersion",
+            new_name="versionSpec",
+            index=0,
+        )
+    ]
+    coll = sets_of(records, "raw")
     assert sorted(s.key for s in coll.sets) == ["D|minimum|", "I||spec"]
     assert all(s.members == (records[0],) for s in coll.sets)
 
@@ -242,7 +245,7 @@ def test_synthetic_corpus():
     facts = {
         p.name: extract_facts_from_dir(p) for p in sorted((CORPUS / "src").iterdir())
     }
-    coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
+    coll = sets_of(records, "lemma")
 
     assert co_rename_rate(coll) == 23 / 34
 
@@ -316,8 +319,8 @@ def test_inflection_merge():
             index=2,
         ),
     ]
-    lemma = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
-    raw = build_rename_sets(attach_chunks(records, "raw"), "raw")
+    lemma = sets_of(records, "lemma")
+    raw = sets_of(records, "raw")
     merged = [s for s in lemma.sets if len(s) == 3]
     assert merged and not any(len(s) == 3 for s in raw.sets)
     difference = collection_difference(lemma, raw)
@@ -335,7 +338,7 @@ def test_inflection_merge():
             """
         }
     )
-    impact = build_repo_stats(records, facts).inflection
+    impact = build_repo_stats(records, default=facts).inflection
     assert impact.new_set_count == len(difference)
     assert RelationshipKind.TYPE_V in impact.new_set_relationship_rates
 

@@ -16,7 +16,7 @@ from corename.analytics import (
 from corename.chunks import ChunkKind
 from corename.errors import NoDataError
 from corename.facts import RelationshipKind, extract_facts, extract_facts_from_dir
-from corename.grouping import attach_chunks, build_rename_sets
+from corename.grouping import build_rename_sets, chunk_by_mode
 from corename.mining import IdentifierKind, RenameRecord, load_rename_records_file
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -32,8 +32,13 @@ def records_of(specs):
     return [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
 
 
+def sets_of(records, mode):
+    chunks = chunk_by_mode(records, (mode,))[mode]
+    return build_rename_sets(records, chunks, mode)
+
+
 def collection(specs, mode="lemma"):
-    return build_rename_sets(attach_chunks(records_of(specs), mode), mode)
+    return sets_of(records_of(specs), mode)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +56,7 @@ def corpus_facts():
 
 @pytest.fixture(scope="module")
 def corpus_lemma(corpus_records):
-    return build_rename_sets(attach_chunks(corpus_records, "lemma"), "lemma")
+    return sets_of(corpus_records, "lemma")
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +124,7 @@ class TestRelationshipRates:
                 ("c1", "getDisabledMetricTypes", "getDisabledMetricAttributes"),
             ]
         )
-        rates = build_repo_stats(records, facts).relationship_rates
+        rates = build_repo_stats(records, default=facts).relationship_rates
         assert rates == {
             RelationshipKind.TYPE_M: 0.5,
             RelationshipKind.TYPE_V: 0.5,
@@ -262,7 +267,7 @@ class TestInflectionImpact:
                 """
             }
         )
-        impact = build_repo_stats(records, facts).inflection
+        impact = build_repo_stats(records, default=facts).inflection
         assert impact.new_set_count == 1
         assert RelationshipKind.TYPE_V in impact.new_set_relationship_rates
 
@@ -337,6 +342,22 @@ class TestReports:
         emit_report(stats, tmp_path)
         assert "work" not in (tmp_path / "report.json").read_text()
 
+    def test_commits_counted_by_their_facts(self, corpus_records, corpus_facts):
+        commits = {s.commit for s in build_repo_stats(corpus_records).collection.sets}
+        own = {c: corpus_facts[c] for c in ("c01", "c02")}
+        own["unused"] = corpus_facts["c04"]
+        assert {"c01", "c02"} <= commits and "unused" not in commits
+        n = len(commits)
+
+        def counts(*args, **kwargs):
+            work = build_repo_stats(corpus_records, *args, **kwargs).work
+            return work.own_commits, work.default_commits, work.empty_commits
+
+        assert counts(own, default=corpus_facts["c04"]) == (2, n - 2, 0)
+        assert counts(own) == (2, 0, n - 2)
+        assert counts(default=corpus_facts["c04"]) == (0, n, 0)
+        assert counts({}) == counts() == (0, 0, n)
+
     def test_no_data_serialized_as_null(self, tmp_path):
         records = [record("c1", "aValue", "aResult", index=0)]
         stats = build_repo_stats(records, facts=None)
@@ -360,8 +381,11 @@ class TestOnePassMatchesPerFilterPath:
             "single": corpus_facts["c01"],
             "none": None,
         }[facts_kind]
-        coll = build_rename_sets(attach_chunks(corpus_records, mode), mode)
-        stats = build_repo_stats(corpus_records, facts, mode=mode)
+        coll = sets_of(corpus_records, mode)
+        if facts_kind == "single":
+            stats = build_repo_stats(corpus_records, default=facts, mode=mode)
+        else:
+            stats = build_repo_stats(corpus_records, facts, mode=mode)
         expected = repo_stats_per_filter(corpus_records, coll, facts)
         assert stats == expected
         assert stats.to_json() == expected.to_json()
@@ -388,10 +412,27 @@ class TestOnePassMatchesPerFilterPath:
             "c1": extract_facts({"A.java": "class itemSize { itemSize itemCount; }"}),
             "c2": extract_facts({"A.java": "class A { int itemCount; int itemSize; }"}),
         }
-        coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
+        coll = sets_of(records, "lemma")
         stats = build_repo_stats(records, facts)
         assert stats == repo_stats_per_filter(records, coll, facts)
         assert stats.work.detections == 2
+
+    def test_no_record_built_after_loading(
+        self, corpus_records, corpus_facts, monkeypatch
+    ):
+        # chunks sit beside the records, and sets hold the records themselves
+        built = []
+        init = RenameRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RenameRecord, "__init__", counting)
+        stats = build_repo_stats(corpus_records, corpus_facts)
+        assert built == []
+        members = {id(m) for s in stats.collection.sets for m in s.members}
+        assert members <= {id(r) for r in corpus_records}
 
     def test_each_pair_detected_once(self, corpus_records, corpus_facts, monkeypatch):
         import corename.analytics as analytics

@@ -9,7 +9,11 @@ import logging
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import attach_chunks_per_record
+from _oracles import (
+    attach_chunks_per_record,
+    build_rename_sets_copying,
+    chunk_by_mode_copying,
+)
 from corename.errors import ParseError
 from corename.grouping import (
     attach_chunks,
@@ -36,12 +40,17 @@ def record(commit, old, new, kind=IdentifierKind.VARIABLE, index=None):
     )
 
 
+def sets_of(records, mode, lemmatizer=None):
+    chunks = chunk_by_mode(records, (mode,), lemmatizer)[mode]
+    return build_rename_sets(records, chunks, mode)
+
+
 def build(specs, mode="lemma"):
     records = [
         record(commit, old, new, index=i)
         for i, (commit, old, new) in enumerate(specs)
     ]
-    return build_rename_sets(attach_chunks(records, mode), mode)
+    return sets_of(records, mode)
 
 
 class TestBuildRenameSets:
@@ -83,15 +92,19 @@ class TestBuildRenameSets:
             ("c1", "minimumSize", "sizeSpec"),
             ("c2", "minimumSize", "leastSize"),
         ]
-        records = attach_chunks(
-            [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)], "raw"
-        )
-        coll = build_rename_sets(records, "raw")
+        records = [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
+        chunks = chunk_by_mode(records, ("raw",))["raw"]
+        coll = build_rename_sets(records, chunks, "raw")
         for s in coll.sets:
-            for r in records:
+            for r, c in zip(records, chunks):
                 member = r in s.members
-                satisfies = r.commit == s.commit and s.key in chunk_keys(r)
+                satisfies = r.commit == s.commit and s.key in chunk_keys(c)
                 assert member == satisfies
+
+    def test_one_chunk_tuple_per_record(self):
+        records = [record("c1", "aValue", "aResult")]
+        with pytest.raises(ValueError, match="0 chunk tuples for 1 records"):
+            build_rename_sets(records, [], "lemma")
 
     def test_member_total_vs_record_count(self):
         single = build([("c1", "getValue", "getResult")])
@@ -124,16 +137,16 @@ class TestCollectionDifference:
     def test_identical_collections(self):
         specs = [("c1", "getValue", "getResult")]
         records = [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
-        lemma = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
-        raw = build_rename_sets(attach_chunks(records, "raw"), "raw")
+        lemma = sets_of(records, "lemma")
+        raw = sets_of(records, "raw")
         assert collection_difference(lemma, raw) == []
 
     def test_key_change_alone_is_not_new(self):
         # One record: its lemma set and raw set hold the same single member,
         # even though the keys differ (Inflect vs Replace).
         records = [record("c1", "instance", "instances", index=0)]
-        lemma = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
-        raw = build_rename_sets(attach_chunks(records, "raw"), "raw")
+        lemma = sets_of(records, "lemma")
+        raw = sets_of(records, "raw")
         assert lemma.sets[0].key != raw.sets[0].key
         assert collection_difference(lemma, raw) == []
 
@@ -142,8 +155,8 @@ class TestCollectionDifference:
             record("c1", "itemNode", "itemLeaf", index=0),
             record("c1", "nodes", "leaves", index=1),
         ]
-        lemma = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
-        raw = build_rename_sets(attach_chunks(records, "raw"), "raw")
+        lemma = sets_of(records, "lemma")
+        raw = sets_of(records, "raw")
         new_sets = collection_difference(lemma, raw)
         assert len(new_sets) == 1
         assert len(new_sets[0]) == 2
@@ -153,8 +166,8 @@ class TestCollectionDifference:
             record("c1", "itemNode", "itemLeaf", index=0),
             record("c1", "nodes", "leaves", index=1),
         ]
-        lemma = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
-        raw = build_rename_sets(attach_chunks(records, "raw"), "raw")
+        lemma = sets_of(records, "lemma")
+        raw = sets_of(records, "raw")
         raw_singletons = {s.member_identity() for s in raw.sets}
         for s in collection_difference(lemma, raw):
             assert s.member_identity() not in raw_singletons
@@ -167,14 +180,23 @@ class TestSerialization:
             ("c1", "metricType", "metricAttribute"),
             ("c2", "minimumVersion", "versionSpec"),
         ]
-        records = attach_chunks(
-            [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)], "lemma"
-        )
-        coll = build_rename_sets(records, "lemma")
+        records = [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
+        coll = sets_of(records, "lemma")
         buffer = io.StringIO()
         serialize_rename_sets(coll, buffer)
         lines = buffer.getvalue().splitlines()
         assert all(set(json.loads(l)) == {"commit", "key", "members"} for l in lines)
+        check_rename_sets(lines, coll, len(records))
+
+    def test_round_trip_without_indices(self):
+        # members are written as positions, also for records built without
+        # an index
+        records = [record("c1", "aValue", "aResult"), record("c1", "bValue", "bResult")]
+        coll = sets_of(records, "lemma")
+        buffer = io.StringIO()
+        serialize_rename_sets(coll, buffer)
+        lines = buffer.getvalue().splitlines()
+        assert [json.loads(line)["members"] for line in lines] == [[0, 1]]
         check_rename_sets(lines, coll, len(records))
 
     @pytest.mark.parametrize(
@@ -193,7 +215,7 @@ class TestSerialization:
             ("c2", "minimumVersion", "versionSpec"),
         ]
         records = [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
-        coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
+        coll = sets_of(records, "lemma")
         buffer = io.StringIO()
         serialize_rename_sets(coll, buffer)
         lines = edit(buffer.getvalue().splitlines())
@@ -219,7 +241,7 @@ class TestSerialization:
     def test_malformed_line_names_file_and_line(self, line, message):
         # the shape of every line is checked before any set is compared
         records = [record("c1", "aValue", "aResult", index=i) for i in range(3)]
-        coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
+        coll = sets_of(records, "lemma")
         good = '{"commit": "c1", "key": "k", "members": [0, 1]}'
         with pytest.raises(ParseError) as caught:
             check_rename_sets([good, "", line], coll, len(records), source="sets.jsonl")
@@ -229,7 +251,7 @@ class TestSerialization:
 
     def test_invalid_identifier_records_have_no_sets(self):
         records = [record("c1", "foo$bar", "baz$bar", index=0)]
-        coll = build_rename_sets(attach_chunks(records, "lemma"), "lemma")
+        coll = sets_of(records, "lemma")
         assert coll.sets == ()
 
 
@@ -241,21 +263,42 @@ def test_member_total_equals_distinct_chunk_key_count():
     corpus = Path(__file__).parent / "fixtures" / "corpus" / "renames.jsonl"
     records = load_rename_records_file(corpus)
     for mode in ("raw", "lemma"):
-        chunked = attach_chunks(records, mode)
-        coll = build_rename_sets(chunked, mode)
-        assert coll.member_total() == sum(len(chunk_keys(r)) for r in chunked)
-        assert coll.member_total() >= sum(1 for r in chunked if r.chunks)
+        chunks = chunk_by_mode(records, (mode,))[mode]
+        coll = build_rename_sets(records, chunks, mode)
+        assert coll.member_total() == sum(len(chunk_keys(c)) for c in chunks)
+        assert coll.member_total() >= sum(1 for c in chunks if c)
 
 
 def _assert_same_as_per_record(records, lemmatizer=None):
-    chunked = chunk_by_mode(records, MODES, lemmatizer)
-    assert list(chunked) == list(MODES)
+    chunks = chunk_by_mode(records, MODES, lemmatizer)
+    assert list(chunks) == list(MODES)
     for mode in MODES:
         want = attach_chunks_per_record(records, mode, lemmatizer)
-        for got in (chunked[mode], attach_chunks(records, mode, lemmatizer)):
-            assert [r.chunks for r in got] == [r.chunks for r in want], mode
-            assert [r.index for r in got] == [r.index for r in records]
-            assert got == want
+        assert chunks[mode] == [r.chunks for r in want], mode
+        got = attach_chunks(records, mode, lemmatizer)
+        assert [r.index for r in got] == [r.index for r in records]
+        assert got == want
+
+
+def _assert_same_as_copying(records, lemmatizer=None):
+    """chunk_by_mode and build_rename_sets against the path that copied each
+    record per mode: the same chunks per record and the same sets, whose
+    members are the given records themselves."""
+    chunks = chunk_by_mode(records, MODES, lemmatizer)
+    copies = chunk_by_mode_copying(records, MODES, lemmatizer)
+    for mode in MODES:
+        assert len(chunks[mode]) == len(records)
+        assert all(type(c) is tuple for c in chunks[mode]), mode
+        assert chunks[mode] == [r.chunks for r in copies[mode]], mode
+        got = build_rename_sets(records, chunks[mode], mode)
+        want = build_rename_sets_copying(copies[mode], mode)
+        assert [(s.commit, s.key, s.positions) for s in got.sets] == [
+            (s.commit, s.key, s.positions) for s in want.sets
+        ], mode
+        for s in got.sets:
+            assert all(
+                s.members[j] is records[p] for j, p in enumerate(s.positions)
+            )
 
 
 def test_attach_chunks_matches_per_record_normalize():
@@ -272,6 +315,19 @@ def test_attach_chunks_matches_per_record_normalize():
     ]
     _assert_same_as_per_record(records)
     _assert_same_as_per_record(records, Lemmatizer({"nodes": "vertex"}))
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_sets_match_the_copying_path_on_the_corpus(custom):
+    from pathlib import Path
+
+    from corename.mining import load_rename_records_file
+
+    corpus = Path(__file__).parent / "fixtures" / "corpus" / "renames.jsonl"
+    records = load_rename_records_file(corpus)
+    records.append(record("c9", "foo$bar", "fooBar"))
+    lemmatizer = Lemmatizer({"nodes": "vertex", "types": "kind"}) if custom else None
+    _assert_same_as_copying(records, lemmatizer)
 
 
 # Names over a few words with inflected, cased and acronym forms, so that
@@ -300,6 +356,7 @@ def test_chunk_by_mode_matches_per_record_drawn(specs, custom):
     ]
     lemmatizer = Lemmatizer({"ran": "run", "nodes": "vertex"}) if custom else None
     _assert_same_as_per_record(records, lemmatizer)
+    _assert_same_as_copying(records, lemmatizer)
 
 
 def test_invalid_record_logged_once_for_both_modes(caplog):
@@ -312,7 +369,7 @@ def test_invalid_record_logged_once_for_both_modes(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "skipping rename foo$bar -> fooBar: not a valid identifier: 'foo$bar'"
     ]
-    assert all(chunked[mode][0].chunks == () for mode in MODES)
+    assert all(chunked[mode][0] == () for mode in MODES)
 
 
 def test_unknown_mode():
