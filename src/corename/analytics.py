@@ -11,10 +11,10 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .chunks import ChunkKind
-from .errors import NoDataError, ParseError
+from .errors import NoDataError
 from .facts.model import CodeFacts, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import atomic_write, json_number, load_json
+from .fileio import atomic_write, json_number, load_document
 from .grouping import (
     Chunks,
     MeaningfulRenameSet,
@@ -478,13 +478,7 @@ def emit_report(stats: RepoStats, out_dir, plots: bool = False) -> list[Path]:
 def load_report(path) -> RepoStats:
     """Read a report.json; one of the wrong shape raises ParseError naming
     the file."""
-    data = load_json(path)
-    try:
-        return RepoStats.from_json(data)
-    except KeyError as exc:
-        raise ParseError(f"not a report: missing key {exc}", source=path) from None
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"not a report: {exc}", source=path) from None
+    return load_document(path, RepoStats.from_json, "report")
 
 
 _SVG_HEAD = (

@@ -10,7 +10,7 @@ from operator import itemgetter
 from types import NoneType
 
 from ..errors import ParseError
-from ..fileio import atomic_write, load_json
+from ..fileio import atomic_write, load_document
 
 
 class EntityKind(str, enum.Enum):
@@ -194,11 +194,7 @@ class CodeFacts:
     @classmethod
     def load(cls, path) -> "CodeFacts":
         """Read a facts file; a malformed one raises ParseError naming it."""
-        data = load_json(path)
-        try:
-            return cls.from_json(data)
-        except ParseError as exc:
-            raise ParseError(str(exc), source=path) from None
+        return load_document(path, cls.from_json, "facts file")
 
 
 # one entity as json.dumps renders it at depth 2, keys sorted

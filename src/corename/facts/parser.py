@@ -249,6 +249,26 @@ class _Builder:
             self.attributes.setdefault(container, set()).add(name)
         return eid
 
+    def _tables(self) -> tuple[list, ...]:
+        return (
+            self.entities, self.contains, self.extends, self.implements,
+            self.typed, self.returns, self.invokes, self.accesses,
+            self.assigns, self.calls,
+        )
+
+    def mark(self) -> tuple[int, ...]:
+        """The length of every table, for ``rollback``."""
+        return tuple(map(len, self._tables()))
+
+    def rollback(self, mark: tuple[int, ...]) -> None:
+        """Drop all that was added since ``mark`` but ``skipped`` rows."""
+        for table, length in zip(self._tables(), mark):
+            del table[length:]
+        first = mark[0]  # the first entity id added since
+        for by_id in (self.attributes, self.method_params):
+            for eid in [eid for eid in by_id if eid >= first]:
+                del by_id[eid]
+
     def finish(self) -> CodeFacts:
         passes: list[tuple[str, str, str]] = []
         by_name_arity: dict[tuple[str, int], list[int]] = {}
@@ -699,15 +719,17 @@ def extract_facts(sources: dict[str, str]) -> CodeFacts:
     """Build fact tables from a mapping of file path to source text.
 
     Files that fail to parse are recorded in ``skipped`` and do not abort
-    the extraction.
+    the extraction; they add nothing else to the facts.
     """
     builder = _Builder()
     for file in sorted(sources):
+        mark = builder.mark()
         try:
             parser = _FileParser(file, tokenize(sources[file]), builder)
             parser.parse_unit()
         except Exception as exc:  # defensive: a bad file must not be fatal
             logger.warning("skipping %s: %s", file, exc)
+            builder.rollback(mark)
             builder.skipped.append((file, str(exc)))
     return builder.finish()
 

@@ -1,5 +1,5 @@
-"""Input reading and atomic file writing shared by the loaders, report
-emitters and the CLI."""
+"""Input reading, JSON input parsing and atomic file writing shared by the
+loaders, report emitters and the CLI."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError
 
@@ -47,6 +47,46 @@ def load_json(path):
         raise ParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, source=path
         ) from None
+
+
+def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
+    """The 1-based number and the JSON object of each non-blank line.  A line
+    of invalid JSON, of a value that is not an object, or of an object
+    without all of ``keys`` raises ParseError naming ``source`` and the line:
+    ``invalid JSON: ...``, ``<what> is not an object`` or ``missing keys:
+    a, b``.  The values are left to the caller's field rules."""
+    for number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=number, source=source) from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{what} is not an object", line=number, source=source)
+        missing = keys - obj.keys()
+        if missing:
+            message = f"missing keys: {', '.join(sorted(missing))}"
+            raise ParseError(message, line=number, source=source)
+        yield number, obj
+
+
+def load_document(path, build: Callable, what: str):
+    """``build`` applied to the JSON value in an input file.  A ParseError
+    from ``build`` is raised again naming the file; a KeyError becomes
+    ``not a <what>: missing key 'k'``, and an AttributeError, OverflowError,
+    TypeError or ValueError ``not a <what>: <its message>``, both naming the
+    file."""
+    data = load_json(path)
+    try:
+        return build(data)
+    except ParseError as exc:
+        raise ParseError(str(exc), source=path) from None
+    except KeyError as exc:
+        raise ParseError(f"not a {what}: missing key {exc}", source=path) from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"not a {what}: {exc}", source=path) from None
 
 
 def json_number(value):

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
-from itertools import combinations, zip_longest
+from itertools import combinations, count, zip_longest
 from typing import Iterable, Sequence
 
 from .chunks import OperationalChunk, chunk_key, diff_lemmas, form_chunks
 from .errors import InvalidIdentifier, ParseError
+from .fileio import jsonl_objects
 from .lexicon import MODES, Lemmatizer, Vocabulary
 from .mining import RenameRecord
 
@@ -215,26 +216,11 @@ def check_rename_sets(
     ParseError too.
     """
     found = []
-    number = 0
-    for number, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid JSON: {exc.msg}", line=number, source=source
-            ) from None
-        if not isinstance(obj, dict):
-            raise ParseError("set is not an object", line=number, source=source)
-        missing = {"commit", "key", "members"} - obj.keys()
-        if missing:
-            raise ParseError(
-                f"missing keys: {', '.join(sorted(missing))}",
-                line=number,
-                source=source,
-            )
+    # numbers the lines read, blank ones too: zip finds the stream's end
+    # before it draws from ``read``, so ``next(read)`` is then one past it
+    read = count(1)
+    lines = (line for line, _ in zip(stream, read))
+    for number, obj in jsonl_objects(lines, {"commit", "key", "members"}, "set", source):
         commit, key, members = obj["commit"], obj["key"], obj["members"]
         if not (isinstance(commit, str) and isinstance(key, str)):
             raise ParseError(
@@ -257,7 +243,7 @@ def check_rename_sets(
         if got is None:
             raise ParseError(
                 f"{len(expected) - i} of {derived} missing at the end{regroup}",
-                line=number + 1,
+                line=next(read),
                 source=source,
             )
         if got[1] != want:

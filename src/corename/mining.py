@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ParseError, RepoError, UnknownKind
 from .facts.model import CodeFacts, EntityKind, IdentifierKind
-from .fileio import read_lines
+from .fileio import jsonl_objects, read_lines
 
 if TYPE_CHECKING:  # chunks loads the word layer, which mining never runs
     from .chunks import OperationalChunk
@@ -43,31 +43,19 @@ def load_rename_records(
 ) -> list[RenameRecord]:
     """Parse line-delimited JSON rename records.
 
-    Each line holds an object with keys commit, kind, old, new, file, and
-    optionally container.  Raises ParseError (naming ``source`` and the
-    offending line) for malformed lines and UnknownKind for kinds outside
-    the supported five.
+    Each line holds an object with keys commit, kind, old, new, and
+    optionally file and container; commit, old, new and file are strings,
+    and container is a string or null.  Raises ParseError (naming
+    ``source`` and the offending line) for malformed lines and UnknownKind
+    for kinds outside the supported five.
     """
     records: list[RenameRecord] = []
-    for number, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid JSON: {exc.msg}", line=number, source=source
-            ) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("record is not an object", line=number, source=source)
-        missing = {"commit", "kind", "old", "new"} - obj.keys()
-        if missing:
-            raise ParseError(
-                f"missing keys: {', '.join(sorted(missing))}",
-                line=number,
-                source=source,
-            )
+    rows = jsonl_objects(stream, {"commit", "kind", "old", "new"}, "record", source)
+    for number, obj in rows:
+        for key in ("commit", "old", "new", "file", "container"):
+            value = obj.get(key, "")
+            if not (isinstance(value, str) or (value is None and key == "container")):
+                raise ParseError(f"{key} is not a string", line=number, source=source)
         try:
             kind = IdentifierKind(obj["kind"])
         except ValueError:
@@ -82,11 +70,11 @@ def load_rename_records(
             )
         records.append(
             RenameRecord(
-                commit=str(obj["commit"]),
+                commit=obj["commit"],
                 kind=kind,
-                old_name=str(obj["old"]),
-                new_name=str(obj["new"]),
-                file=str(obj.get("file", "")),
+                old_name=obj["old"],
+                new_name=obj["new"],
+                file=obj.get("file", ""),
                 container=obj.get("container"),
                 index=len(records),
             )

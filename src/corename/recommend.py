@@ -15,10 +15,10 @@ import json
 from dataclasses import dataclass
 
 from .chunks import anchor_lemma, apply_chunk
-from .errors import DegenerateResult, InvalidIdentifier, NoDataError, ParseError
+from .errors import DegenerateResult, InvalidIdentifier, NoDataError
 from .facts.model import CodeFacts, EntityKind, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import atomic_write, json_number, load_json
+from .fileio import atomic_write, json_number, load_document
 from .lexicon import Lemmatizer, Vocabulary, normalize
 from .mining import IdentifierKind, RenameRecord
 
@@ -75,11 +75,7 @@ class PriorProfile:
     def load(cls, path) -> "PriorProfile":
         """Read a profile file; one of the wrong shape raises ParseError
         naming it."""
-        data = load_json(path)
-        try:
-            return cls.from_json(data)
-        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-            raise ParseError(f"not a prior profile: {exc}", source=path) from None
+        return load_document(path, cls.from_json, "prior profile")
 
     def save(self, path) -> None:
         atomic_write(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")

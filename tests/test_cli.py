@@ -84,6 +84,20 @@ class TestExitCodes:
         assert rc == 2
         assert f"corename: error: {bad}: line 1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mine", "group"])
+    def test_record_value_not_a_string(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"commit": "c1", "kind": "Class", "old": "Bar", "new": "Baz", "file": "f"}\n'
+            '{"commit": "c1", "kind": "Class", "old": null, "new": "Foo", "file": "f"}\n'
+        )
+        out = tmp_path / ("renames.jsonl" if command == "mine" else "sets.jsonl")
+        flag = "--records" if command == "mine" else "--renames"
+        assert run([command, flag, str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"corename: error: {bad}: line 2: old is not a string" in err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         rc = run(
             ["group", "--renames", str(tmp_path / "no.jsonl"), "--out", str(tmp_path / "s")]

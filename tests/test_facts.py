@@ -4,6 +4,7 @@ import gc
 import json
 import weakref
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,22 @@ class TestExtractFacts:
         )
         assert names(facts, EntityKind.VARIABLE) == ["v", "x", "s"]
         assert {row[0] for row in facts.assigns} == {"v"}
+
+    def test_skipped_file_adds_only_its_skipped_row(self):
+        # the deep file declares a field, a method and a call before its
+        # nesting exhausts the stack; none of them may reach the facts, nor
+        # resolve a pass against the plain file's method of the same arity
+        depth = sys.getrecursionlimit()
+        deep = (
+            "class Deep { int width; void m(int size) { m(width); } "
+            + "class C { " * depth + "}" * depth + " }"
+        )
+        plain = "class Plain { int height; void m(int count) { m(height); } }"
+        alone = extract_facts({"B.java": plain}).to_json()
+        both = extract_facts({"A.java": deep, "B.java": plain}).to_json()
+        assert [row[0] for row in both.pop("skipped")] == ["A.java"]
+        assert alone.pop("skipped") == []
+        assert both == alone
 
 
 def _fixture_sources(directory):

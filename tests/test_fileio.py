@@ -1,10 +1,14 @@
 """Tests for reading input files."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corename
 from corename.errors import ParseError
-from corename.fileio import load_json, read_lines, read_text
+from corename.fileio import load_document, load_json, read_lines, read_text
 
 
 @settings(max_examples=100, deadline=None)
@@ -34,3 +38,45 @@ def test_load_json_names_the_line(tmp_path):
     path.write_text('{"a": 1,\n}')
     with pytest.raises(ParseError, match=f"^{path}: line 2: invalid JSON: "):
         load_json(path)
+
+
+@pytest.mark.parametrize("error, message", [
+    (ParseError("entity 2: malformed"), "entity 2: malformed"),
+    (KeyError("mode"), "not a thing: missing key 'mode'"),
+    (AttributeError("no get"), "not a thing: no get"),
+    (OverflowError("too large"), "not a thing: too large"),
+    (TypeError("not a count: -1"), "not a thing: not a count: -1"),
+    (ValueError("unknown mode: 'x'"), "not a thing: unknown mode: 'x'"),
+])
+def test_load_document_names_the_file(tmp_path, error, message):
+    path = tmp_path / "doc.json"
+    path.write_text("{}")
+
+    def build(data):
+        raise error
+
+    with pytest.raises(ParseError) as caught:
+        load_document(path, build, "thing")
+    assert str(caught.value) == f"{path}: {message}"
+    assert caught.value.source == path
+
+
+def test_only_fileio_parses_json():
+    # one module decides how malformed JSON input is reported
+    package = Path(corename.__file__).parent
+    uses = []
+    for module in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "json"
+                and {alias.name for alias in node.names} & {"load", "loads"}
+            ):
+                uses.append(f"{module.relative_to(package)}:{node.lineno}")
+    assert [use for use in uses if not use.startswith("fileio.py:")] == []
+    assert uses  # fileio itself is seen

@@ -9,6 +9,7 @@ import subprocess
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from _oracles import walk_history_per_commit
 
 import corename.mining
@@ -19,8 +20,19 @@ from corename.mining import (
     IdentifierKind,
     detect_renames,
     load_rename_records,
+    record_to_obj,
     serialize_rename_records,
     walk_history,
+)
+
+
+_NOT_STRINGS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
 
 
@@ -98,6 +110,63 @@ class TestLoadRenameRecords:
         serialize_rename_records(records, buffer)
         again = load_rename_records(buffer.getvalue().splitlines())
         assert again == records
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("old", None),
+            ("commit", ["c1"]),
+            ("old", 1),
+            ("new", True),
+            ("file", {"a": 1}),
+            ("file", None),
+            ("container", ["X"]),
+        ],
+    )
+    def test_values_that_are_not_strings(self, key, value):
+        obj = dict(commit="c1", kind="Class", old="Bar", new="Foo", file="f.java")
+        obj[key] = value
+        good = line(commit="c1", kind="Class", old="A", new="B")
+        with pytest.raises(ParseError) as info:
+            load_rename_records([good, "", json.dumps(obj)], source="r.jsonl")
+        assert str(info.value) == f"r.jsonl: line 3: {key} is not a string"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "commit": st.text(max_size=3),
+                "kind": st.sampled_from([k.value for k in IdentifierKind]),
+                "old": st.text(max_size=3),
+                "new": st.text(max_size=3),
+            },
+            optional={"file": st.text(max_size=3), "container": st.none() | st.text(max_size=3)},
+        ),
+        st.dictionaries(
+            st.sampled_from(["commit", "kind", "old", "new", "file", "container"]),
+            _NOT_STRINGS,
+            max_size=2,
+        ),
+    )
+    def test_loaded_record_serializes_to_its_input(self, obj, replaced):
+        # a record loads exactly when its values are those it writes back
+        obj.update(replaced)
+        rejected = (
+            bool(replaced.keys() - {"container"})
+            or replaced.get("container") is not None
+            or obj["old"] == obj["new"]
+        )
+        try:
+            (record,) = load_rename_records([json.dumps(obj)])
+        except ParseError:
+            assert rejected
+            return
+        assert not rejected
+        written = record_to_obj(record)
+        expected = {"file": "", **obj}
+        if expected.get("container", None) is None:
+            expected.pop("container", None)
+        assert json.dumps(written, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestDetectRenames:
