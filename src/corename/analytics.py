@@ -14,7 +14,7 @@ from .chunks import ChunkKind
 from .errors import NoDataError
 from .facts.model import CodeFacts, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import atomic_write, json_number, load_document
+from .fileio import atomic_write, json_container, json_number, load_document
 from .grouping import (
     Chunks,
     MeaningfulRenameSet,
@@ -262,14 +262,24 @@ class RepoStats:
 
     @classmethod
     def from_json(cls, data: dict) -> "RepoStats":
-        def rates(mapping, kind):
+        def rates(mapping, kind, name):
             if mapping is None:
                 return None
+            mapping = json_container(mapping, dict, name)
             return {kind(k): json_number(v) for k, v in mapping.items()}
+
+        def rates_by(key, parse_key, kind):
+            table = json_container(data[key], dict, key)
+            return {parse_key(k): rates(v, kind, f"{key}.{k}") for k, v in table.items()}
+
+        def size_row(row, name):
+            if len(json_container(row, list, name)) != 4:
+                raise ValueError(f"{name} does not have 4 cells")
+            return SizeRow(*map(_count, row[:3]), json_number(row[3]))
 
         inflection = None
         if data.get("inflection") is not None:
-            inf = data["inflection"]
+            inf = json_container(data["inflection"], dict, "inflection")
             inflection = InflectionImpact(
                 raw_co_rename_rate=_optional_number(inf["raw_co_rename_rate"]),
                 lemma_co_rename_rate=_optional_number(inf["lemma_co_rename_rate"]),
@@ -279,9 +289,12 @@ class RepoStats:
                 lemma_member_total=_count(inf["lemma_member_total"]),
                 new_set_count=_count(inf["new_set_count"]),
                 new_set_relationship_rates=rates(
-                    inf["new_set_relationship_rates"], RelationshipKind
+                    inf["new_set_relationship_rates"],
+                    RelationshipKind,
+                    "inflection.new_set_relationship_rates",
                 ),
             )
+        rows = json_container(data["size_distribution"], list, "size_distribution")
         return cls(
             mode=_mode(data["mode"]),
             record_count=_count(data["record_count"]),
@@ -289,18 +302,13 @@ class RepoStats:
             member_total=_count(data["member_total"]),
             co_rename_rate=_optional_number(data["co_rename_rate"]),
             size_distribution=tuple(
-                SizeRow(*map(_count, row[:3]), *map(json_number, row[3:]))
-                for row in data["size_distribution"]
+                size_row(row, f"size_distribution[{at}]") for at, row in enumerate(rows)
             ),
-            relationship_rates=rates(data["relationship_rates"], RelationshipKind),
-            filtered_rates={
-                IdentifierKind(k): rates(v, RelationshipKind)
-                for k, v in data["filtered_rates"].items()
-            },
-            chunk_type_rates={
-                _mode(mode): rates(v, ChunkKind)
-                for mode, v in data["chunk_type_rates"].items()
-            },
+            relationship_rates=rates(
+                data["relationship_rates"], RelationshipKind, "relationship_rates"
+            ),
+            filtered_rates=rates_by("filtered_rates", IdentifierKind, RelationshipKind),
+            chunk_type_rates=rates_by("chunk_type_rates", _mode, ChunkKind),
             inflection=inflection,
         )
 

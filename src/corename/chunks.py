@@ -88,28 +88,27 @@ def _gap_chunk(deleted, added, anchor, old) -> OperationalChunk:
 def _diff(a, b, offset, old, out, total=None) -> None:
     """Append the chunks between ``a`` and ``b``, anchored at ``offset``
     in ``old``.  A caller that knows the LCS length passes it as ``total``,
-    so that a side with no common words becomes one gap without tables."""
+    so that a side with no common words becomes one gap without a table.
+
+    ``suf[i][j]`` is the LCS length of ``a[i:]`` and ``b[j:]``, and ``pre``
+    that of ``a[:i]`` and ``b[:j]``.  The split is the longest common run,
+    leftmost on ties, that starts at a matched pair with ``pre + suf ==
+    total``.  Such a pair lies on a maximal alignment, and so does its whole
+    run: for ``a[i] == b[j]``, ``suf[i][j] == 1 + suf[i+1][j+1]``, so the
+    sum stays ``total`` one pair further along.  The words on each side of
+    the run are split by the same rule."""
     if a == b:
         return
     if total == 0 or not a or not b:
         out.append(_gap_chunk(a, b, offset, old))
         return
     m, n = len(a), len(b)
-    # run[i][j]: length of the common run starting at (i, j); suf[i][j]:
-    # LCS length of a[i:] and b[j:].  Filling bottom-up, right-to-left and
-    # keeping ties leaves the leftmost longest run in (bi, bj, best).
-    run = [[0] * (n + 1) for _ in range(m + 1)]
     suf = [[0] * (n + 1) for _ in range(m + 1)]
-    best = bi = bj = 0
     for i in range(m - 1, -1, -1):
-        ai, run_i, run_below = a[i], run[i], run[i + 1]
-        suf_i, suf_below = suf[i], suf[i + 1]
+        ai, suf_i, suf_below = a[i], suf[i], suf[i + 1]
         for j in range(n - 1, -1, -1):
             if ai == b[j]:
-                length = run_i[j] = run_below[j + 1] + 1
                 suf_i[j] = suf_below[j + 1] + 1
-                if length >= best:
-                    best, bi, bj = length, i, j
             else:
                 down, right = suf_below[j], suf_i[j + 1]
                 suf_i[j] = down if down >= right else right
@@ -117,33 +116,26 @@ def _diff(a, b, offset, old, out, total=None) -> None:
     if total == 0:
         out.append(_gap_chunk(a, b, offset, old))
         return
-    if best < total:
-        # The longest run overcommits.  Split instead at the longest run,
-        # leftmost on ties, that lies on some maximal alignment: one whose
-        # prefix LCS, length and suffix LCS add up to the total.  Such a
-        # run always exists: matching the equal first words of a[i:] and
-        # b[j:] never shortens their LCS, so the whole run at any matched
-        # pair of a maximal alignment lies on one too.  pre_i holds the LCS
-        # lengths of a[:i] against each prefix of b.
-        best = 0
-        pre_i = [0] * (n + 1)
-        for i in range(m):
-            ai, run_i = a[i], run[i]
-            for j in range(n):
-                length = run_i[j]
-                if (
-                    length > best
-                    and pre_i[j] + length + suf[i + length][j + length] == total
-                ):
-                    best, bi, bj = length, i, j
-            pre_next = [0]
-            for j in range(n):
-                if ai == b[j]:
-                    pre_next.append(pre_i[j] + 1)
-                else:
-                    up, left = pre_i[j + 1], pre_next[j]
-                    pre_next.append(up if up >= left else left)
-            pre_i = pre_next
+    # pre_i holds the LCS lengths of a[:i] against each prefix of b
+    best = bi = bj = 0
+    pre_i = [0] * (n + 1)
+    for i in range(m):
+        ai, suf_i = a[i], suf[i]
+        pre_next = [0]
+        for j in range(n):
+            if ai == b[j]:
+                pre_next.append(pre_i[j] + 1)
+                rest = suf_i[j]  # bounds the run starting here
+                if rest > best and pre_i[j] + rest == total:
+                    length = 1
+                    while length < rest and a[i + length] == b[j + length]:
+                        length += 1
+                    if length > best:
+                        best, bi, bj = length, i, j
+            else:
+                up, left = pre_i[j + 1], pre_next[j]
+                pre_next.append(up if up >= left else left)
+        pre_i = pre_next
     end_a, end_b = bi + best, bj + best
     right_total = suf[end_a][end_b]
     _diff(a[:bi], b[:bj], offset, old, out, total - best - right_total)

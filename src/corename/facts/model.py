@@ -136,8 +136,6 @@ class CodeFacts:
         Raises ParseError for an entity without its keys, a row of the wrong
         shape, or an entity id that names no entity.
         """
-        if not isinstance(data, dict):
-            raise ParseError("facts are not a JSON object")
         listed = _table(data, "entities")
         entities = _entities_by_column(listed)
         if entities is None:

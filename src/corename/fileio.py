@@ -73,14 +73,15 @@ def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
 
 
 def load_document(path, build: Callable, what: str):
-    """``build`` applied to the JSON value in an input file.  A ParseError
+    """``build`` applied to the JSON object in an input file.  A ParseError
     from ``build`` is raised again naming the file; a KeyError becomes
     ``not a <what>: missing key 'k'``, and an AttributeError, OverflowError,
     TypeError or ValueError ``not a <what>: <its message>``, both naming the
-    file."""
+    file.  A file of any other JSON value is ``not a <what>: the document
+    is not a JSON object``."""
     data = load_json(path)
     try:
-        return build(data)
+        return build(json_container(data, dict, "the document"))
     except ParseError as exc:
         raise ParseError(str(exc), source=path) from None
     except KeyError as exc:
@@ -95,6 +96,14 @@ def json_number(value):
     if type(value) not in (int, float):
         raise TypeError(f"not a number: {value!r}")
     float(value)  # OverflowError for a larger int
+    return value
+
+
+def json_container(value, kind: type, name: str):
+    """``value`` if it is a JSON object (``kind`` dict) or array (``kind``
+    list); TypeError ``<name> is not a JSON object`` (or array) otherwise."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} is not a JSON {'object' if kind is dict else 'array'}")
     return value
 
 

@@ -19,7 +19,7 @@ Chunks = tuple[OperationalChunk, ...]
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeaningfulRenameSet:
     """All renames of one commit whose chunks include one shared chunk key."""
 

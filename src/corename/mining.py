@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # chunks loads the word layer, which mining never runs
     from .chunks import OperationalChunk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RenameRecord:
     """One identifier rename in one commit."""
 

@@ -18,7 +18,7 @@ from .chunks import anchor_lemma, apply_chunk
 from .errors import DegenerateResult, InvalidIdentifier, NoDataError
 from .facts.model import CodeFacts, EntityKind, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import atomic_write, json_number, load_document
+from .fileio import atomic_write, json_container, json_number, load_document
 from .lexicon import Lemmatizer, Vocabulary, normalize
 from .mining import IdentifierKind, RenameRecord
 
@@ -60,13 +60,16 @@ class PriorProfile:
 
     @classmethod
     def from_json(cls, data: dict) -> "PriorProfile":
+        tables = json_container(data.get("weights", {}), dict, "weights")
         return cls(
             weights={
                 IdentifierKind(trigger): {
                     RelationshipKind(kind): float(json_number(value))
-                    for kind, value in table.items()
+                    for kind, value in json_container(
+                        table, dict, f"weights.{trigger}"
+                    ).items()
                 }
-                for trigger, table in data.get("weights", {}).items()
+                for trigger, table in tables.items()
             },
             default_weight=float(json_number(data.get("default_weight", 0.0))),
         )

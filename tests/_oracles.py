@@ -759,6 +759,78 @@ def _diff_rec(a, b, offset, old, out, total=None) -> None:
     raise AssertionError("no optimal common run found")  # pragma: no cover
 
 
+def diff_lemmas_two_tables(old, new):
+    """``diff_lemmas`` as the two-table differ it replaced: a ``run`` table
+    of common-run lengths beside the suffix-LCS table, the leftmost longest
+    run as a fast path, and, when that run overcommits, a second scan over
+    prefix-LCS rows for the longest run on a maximal alignment."""
+    out = []
+    _diff_two_tables(tuple(old), tuple(new), 0, tuple(old), out)
+    return out
+
+
+def _diff_two_tables(a, b, offset, old, out, total=None) -> None:
+    if a == b:
+        return
+    if total == 0 or not a or not b:
+        out.append(_gap_chunk(a, b, offset, old))
+        return
+    m, n = len(a), len(b)
+    # run[i][j]: length of the common run starting at (i, j); suf[i][j]:
+    # LCS length of a[i:] and b[j:].  Filling bottom-up, right-to-left and
+    # keeping ties leaves the leftmost longest run in (bi, bj, best).
+    run = [[0] * (n + 1) for _ in range(m + 1)]
+    suf = [[0] * (n + 1) for _ in range(m + 1)]
+    best = bi = bj = 0
+    for i in range(m - 1, -1, -1):
+        ai, run_i, run_below = a[i], run[i], run[i + 1]
+        suf_i, suf_below = suf[i], suf[i + 1]
+        for j in range(n - 1, -1, -1):
+            if ai == b[j]:
+                length = run_i[j] = run_below[j + 1] + 1
+                suf_i[j] = suf_below[j + 1] + 1
+                if length >= best:
+                    best, bi, bj = length, i, j
+            else:
+                down, right = suf_below[j], suf_i[j + 1]
+                suf_i[j] = down if down >= right else right
+    total = suf[0][0]
+    if total == 0:
+        out.append(_gap_chunk(a, b, offset, old))
+        return
+    if best < total:
+        # The longest run overcommits.  Split instead at the longest run,
+        # leftmost on ties, that lies on some maximal alignment: one whose
+        # prefix LCS, length and suffix LCS add up to the total.  Such a
+        # run always exists: matching the equal first words of a[i:] and
+        # b[j:] never shortens their LCS, so the whole run at any matched
+        # pair of a maximal alignment lies on one too.  pre_i holds the LCS
+        # lengths of a[:i] against each prefix of b.
+        best = 0
+        pre_i = [0] * (n + 1)
+        for i in range(m):
+            ai, run_i = a[i], run[i]
+            for j in range(n):
+                length = run_i[j]
+                if (
+                    length > best
+                    and pre_i[j] + length + suf[i + length][j + length] == total
+                ):
+                    best, bi, bj = length, i, j
+            pre_next = [0]
+            for j in range(n):
+                if ai == b[j]:
+                    pre_next.append(pre_i[j] + 1)
+                else:
+                    up, left = pre_i[j + 1], pre_next[j]
+                    pre_next.append(up if up >= left else left)
+            pre_i = pre_next
+    end_a, end_b = bi + best, bj + best
+    right_total = suf[end_a][end_b]
+    _diff_two_tables(a[:bi], b[:bj], offset, old, out, total - best - right_total)
+    _diff_two_tables(a[end_a:], b[end_b:], offset + end_a, old, out, right_total)
+
+
 def walk_history_per_commit(
     repo, rev_range: str = "HEAD", suffixes: tuple[str, ...] = (".java",)
 ):

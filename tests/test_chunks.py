@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import (
     canonical_pairs,
     diff_lemmas_recursive,
+    diff_lemmas_two_tables,
     enumerate_script_minimum,
     min_changed_words,
     random_pair,
@@ -164,31 +165,40 @@ class TestDiffProperties:
             assert anchors == sorted(anchors)
 
 
-class TestSameChunksAsRecursiveDiffer:
-    """The table differ returns exactly the chunks of the recursive run
-    search it replaced: kinds, words, anchors and contexts."""
+REFERENCES = pytest.mark.parametrize(
+    "reference", [diff_lemmas_recursive, diff_lemmas_two_tables], ids=lambda f: f.__name__
+)
 
-    def test_canonical_pairs(self):
+
+class TestSameChunksAsRecursiveDiffer:
+    """The table differ returns exactly the chunks of each differ it
+    replaced: the recursive run search, and the two-table differ with its
+    longest-run fast path.  Kinds, words, anchors and contexts all match."""
+
+    @REFERENCES
+    def test_canonical_pairs(self, reference):
         checked = 0
         for a, b in canonical_pairs(5, 4):
-            assert diff_lemmas(a, b) == diff_lemmas_recursive(a, b), (a, b)
+            assert diff_lemmas(a, b) == reference(a, b), (a, b)
             checked += 1
         assert checked == 78_639
 
-    def test_random_long_pairs(self):
+    @REFERENCES
+    def test_random_long_pairs(self, reference):
         rng = random.Random(97)
         for _ in range(10_000):
             a, b = random_pair(rng, 7, 12, "abcdef")
-            assert diff_lemmas(a, b) == diff_lemmas_recursive(a, b), (a, b)
+            assert diff_lemmas(a, b) == reference(a, b), (a, b)
 
+    @REFERENCES
     @pytest.mark.parametrize("mode", ["raw", "lemma"])
-    def test_corpus_renames(self, mode):
+    def test_corpus_renames(self, mode, reference):
         records = load_rename_records_file(CORPUS_RENAMES)
         assert records
         for r in records:
             a = normalize(r.old_name, mode).lemmas
             b = normalize(r.new_name, mode).lemmas
-            assert diff_lemmas(a, b) == diff_lemmas_recursive(a, b), (a, b)
+            assert diff_lemmas(a, b) == reference(a, b), (a, b)
 
 
 class TestApplyChunk:

@@ -611,6 +611,9 @@ class TestSharedOptions:
 class TestMalformedInputs:
     """Each malformed input exits 2 with a diagnostic naming file and line."""
 
+    # wording of Python's own exceptions, which a diagnostic must not leak
+    PYTHON_INTERNALS = ("object has no attribute", "__init__()", "indices must be")
+
     def analyze_argv(self, tmp_path, sets_path, *extra):
         return [
             "analyze",
@@ -738,10 +741,16 @@ class TestMalformedInputs:
             lambda report: {**report, "chunk_type_rates": {"raw": {"Replace": [1]}}},
             lambda report: {**report, "mode": "stem"},
             lambda report: {**report, "size_distribution": [[2.5, 1, 2, 1.0]]},
+            lambda report: [],
+            lambda report: {**report, "size_distribution": 5},
+            lambda report: {**report, "size_distribution": [[1]]},
+            lambda report: {**report, "relationship_rates": []},
+            lambda report: {**report, "inflection": []},
         ],
         ids=["empty", "list", "rate", "huge-rate", "size-row-rate", "short-size-row",
              "filtered-list", "chunk-kind", "count-string", "chunk-rate-list", "mode",
-             "size-row-size"],
+             "size-row-size", "empty-list", "sizes-number", "one-cell-size-row",
+             "rates-list", "inflection-list"],
     )
     def test_report_shape(self, tmp_path, facts_dir, capsys, change):
         report = json.loads((analyze(tmp_path, facts_dir, "report") / "report.json").read_text())
@@ -752,6 +761,7 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"corename: error: {bad}: not a report: " in err
         assert "Traceback" not in err
+        assert not any(internal in err for internal in self.PYTHON_INTERNALS), err
 
     @pytest.mark.parametrize(
         "profile",
@@ -766,9 +776,12 @@ class TestMalformedInputs:
             {"weights": {"Class": {"TypeV": True}}},
             {"weights": {"Class": {"TypeV": "0.5"}}},
             {"default_weight": "0.5"},
+            {"weights": []},
+            {"weights": {"Method": []}},
         ],
         ids=["weight-string", "list", "table-list", "trigger", "kind", "default-null",
-             "huge-weight", "weight-true", "weight-digits", "default-digits"],
+             "huge-weight", "weight-true", "weight-digits", "default-digits",
+             "weights-list", "empty-table-list"],
     )
     def test_profile_shape(self, tmp_path, capsys, profile):
         bad = tmp_path / "bad.json"
@@ -779,6 +792,7 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"corename: error: {bad}: not a prior profile: " in err
         assert "Traceback" not in err
+        assert not any(internal in err for internal in self.PYTHON_INTERNALS), err
 
     def test_lemma_table_line(self, tmp_path, capsys):
         table = tmp_path / "forms.txt"
