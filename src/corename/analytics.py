@@ -266,7 +266,7 @@ class RepoStats:
             if mapping is None:
                 return None
             mapping = json_container(mapping, dict, name)
-            return {kind(k): json_number(v) for k, v in mapping.items()}
+            return {kind(k): json_number(v, f"{name}.{k}") for k, v in mapping.items()}
 
         def rates_by(key, parse_key, kind):
             table = json_container(data[key], dict, key)
@@ -275,19 +275,27 @@ class RepoStats:
         def size_row(row, name):
             if len(json_container(row, list, name)) != 4:
                 raise ValueError(f"{name} does not have 4 cells")
-            return SizeRow(*map(_count, row[:3]), json_number(row[3]))
+            cells = [f"{name}[{at}]" for at in range(4)]
+            return SizeRow(*map(_count, row[:3], cells), json_number(row[3], cells[3]))
 
         inflection = None
         if data.get("inflection") is not None:
             inf = json_container(data["inflection"], dict, "inflection")
             inflection = InflectionImpact(
-                raw_co_rename_rate=_optional_number(inf["raw_co_rename_rate"]),
-                lemma_co_rename_rate=_optional_number(inf["lemma_co_rename_rate"]),
-                raw_set_count=_count(inf["raw_set_count"]),
-                lemma_set_count=_count(inf["lemma_set_count"]),
-                raw_member_total=_count(inf["raw_member_total"]),
-                lemma_member_total=_count(inf["lemma_member_total"]),
-                new_set_count=_count(inf["new_set_count"]),
+                **{
+                    key: _optional_number(inf[key], f"inflection.{key}")
+                    for key in ("raw_co_rename_rate", "lemma_co_rename_rate")
+                },
+                **{
+                    key: _count(inf[key], f"inflection.{key}")
+                    for key in (
+                        "raw_set_count",
+                        "lemma_set_count",
+                        "raw_member_total",
+                        "lemma_member_total",
+                        "new_set_count",
+                    )
+                },
                 new_set_relationship_rates=rates(
                     inf["new_set_relationship_rates"],
                     RelationshipKind,
@@ -297,10 +305,10 @@ class RepoStats:
         rows = json_container(data["size_distribution"], list, "size_distribution")
         return cls(
             mode=_mode(data["mode"]),
-            record_count=_count(data["record_count"]),
-            set_count=_count(data["set_count"]),
-            member_total=_count(data["member_total"]),
-            co_rename_rate=_optional_number(data["co_rename_rate"]),
+            record_count=_count(data["record_count"], "record_count"),
+            set_count=_count(data["set_count"], "set_count"),
+            member_total=_count(data["member_total"], "member_total"),
+            co_rename_rate=_optional_number(data["co_rename_rate"], "co_rename_rate"),
             size_distribution=tuple(
                 size_row(row, f"size_distribution[{at}]") for at, row in enumerate(rows)
             ),
@@ -316,14 +324,14 @@ class RepoStats:
 # a loaded report is written back to CSV and plotted: each value needs its type
 
 
-def _count(value) -> int:
+def _count(value, name: str) -> int:
     if type(value) is not int or value < 0:
-        raise TypeError(f"not a count: {value!r}")
+        raise TypeError(f"{name} is not a count: {value!r}")
     return value
 
 
-def _optional_number(value):
-    return None if value is None else json_number(value)
+def _optional_number(value, name: str):
+    return None if value is None else json_number(value, name)
 
 
 def _mode(value) -> str:

@@ -49,6 +49,10 @@ def load_json(path):
         ) from None
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig)"  # json.loads's message
+
+
 def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
     """The 1-based number and the JSON object of each non-blank line.  A line
     of invalid JSON, of a value that is not an object, or of an object
@@ -59,15 +63,19 @@ def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
         line = raw.strip()
         if not line:
             continue
+        # json.loads on the line, with its messages: the line has no
+        # surrounding whitespace, and a leading byte-order mark is named
         try:
-            obj = json.loads(line)
+            obj, end = _raw_decode(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=number, source=source) from None
+            message = _BOM if line[0] == "\ufeff" else exc.msg
+            raise ParseError(f"invalid JSON: {message}", line=number, source=source) from None
+        if end != len(line):
+            raise ParseError("invalid JSON: Extra data", line=number, source=source)
         if not isinstance(obj, dict):
             raise ParseError(f"{what} is not an object", line=number, source=source)
-        missing = keys - obj.keys()
-        if missing:
-            message = f"missing keys: {', '.join(sorted(missing))}"
+        if not obj.keys() >= keys:
+            message = f"missing keys: {', '.join(sorted(keys - obj.keys()))}"
             raise ParseError(message, line=number, source=source)
         yield number, obj
 
@@ -90,11 +98,12 @@ def load_document(path, build: Callable, what: str):
         raise ParseError(f"not a {what}: {exc}", source=path) from None
 
 
-def json_number(value):
+def json_number(value, name: str):
     """``value`` if it is a JSON number a float can hold, so not a boolean
-    or a string of digits; TypeError or OverflowError otherwise."""
+    or a string of digits; TypeError ``<name> is not a number: <value>`` or
+    OverflowError otherwise."""
     if type(value) not in (int, float):
-        raise TypeError(f"not a number: {value!r}")
+        raise TypeError(f"{name} is not a number: {value!r}")
     float(value)  # OverflowError for a larger int
     return value
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 from itertools import combinations, count, zip_longest
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .chunks import OperationalChunk, chunk_key, diff_lemmas, form_chunks
@@ -184,19 +184,26 @@ def collection_difference(
 
 
 def serialize_rename_sets(collection: RenameSetCollection, fp) -> None:
-    """Write one JSON object per set: {commit, key, members: [positions]}."""
-    for s in collection.sets:
-        fp.write(
-            json.dumps(
-                {
-                    "commit": s.commit,
-                    "key": s.key,
-                    "members": list(s.positions),
-                },
-                sort_keys=True,
-            )
+    """Write one line per set: exactly ``json.dumps({"commit": ..., "key":
+    ..., "members": [positions]}, sort_keys=True) + "\\n"``.
+
+    Fills one row template per set, quoting with the C function that
+    ``json.dumps`` quotes with; positions are ints, as
+    ``build_rename_sets`` makes them.
+    """
+    quote = encode_basestring_ascii
+    fp.write(
+        "".join(
+            [
+                _SET_JSON % (quote(s.commit), quote(s.key), ", ".join(map(str, s.positions)))
+                for s in collection.sets
+            ]
         )
-        fp.write("\n")
+    )
+
+
+# one set as json.dumps renders it, keys sorted
+_SET_JSON = '{"commit": %s, "key": %s, "members": [%s]}\n'
 
 
 def check_rename_sets(

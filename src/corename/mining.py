@@ -10,10 +10,10 @@ within an unchanged container).
 from __future__ import annotations
 
 import contextlib
-import json
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ParseError, RepoError, UnknownKind
@@ -52,53 +52,76 @@ def load_rename_records(
     records: list[RenameRecord] = []
     rows = jsonl_objects(stream, {"commit", "kind", "old", "new"}, "record", source)
     for number, obj in rows:
-        for key in ("commit", "old", "new", "file", "container"):
-            value = obj.get(key, "")
-            if not (isinstance(value, str) or (value is None and key == "container")):
-                raise ParseError(f"{key} is not a string", line=number, source=source)
-        try:
-            kind = IdentifierKind(obj["kind"])
-        except ValueError:
+        commit, old, new = obj["commit"], obj["old"], obj["new"]
+        file, container = obj.get("file", ""), obj.get("container")
+        if not (
+            str is type(commit) is type(old) is type(new) is type(file)
+            and (container is None or type(container) is str)
+        ):
+            # name the first value of the wrong type
+            for key in ("commit", "old", "new", "file", "container"):
+                value = obj.get(key, "")
+                if not (isinstance(value, str) or (value is None and key == "container")):
+                    raise ParseError(f"{key} is not a string", line=number, source=source)
+        kind = obj["kind"]
+        kind = _KIND_BY_VALUE.get(kind) if type(kind) is str else None
+        if kind is None:
             raise UnknownKind(
                 f"unknown identifier kind: {obj['kind']!r}",
                 line=number,
                 source=source,
-            ) from None
-        if obj["old"] == obj["new"]:
+            )
+        if old == new:
             raise ParseError(
                 "old and new names are identical", line=number, source=source
             )
         records.append(
             RenameRecord(
-                commit=obj["commit"],
+                commit=commit,
                 kind=kind,
-                old_name=obj["old"],
-                new_name=obj["new"],
-                file=obj.get("file", ""),
-                container=obj.get("container"),
+                old_name=old,
+                new_name=new,
+                file=file,
+                container=container,
                 index=len(records),
             )
         )
     return records
 
 
-def record_to_obj(record: RenameRecord) -> dict:
-    obj = {
-        "commit": record.commit,
-        "kind": record.kind.value,
-        "old": record.old_name,
-        "new": record.new_name,
-        "file": record.file,
-    }
-    if record.container is not None:
-        obj["container"] = record.container
-    return obj
-
-
 def serialize_rename_records(records: Iterable[RenameRecord], fp) -> None:
-    for record in records:
-        fp.write(json.dumps(record_to_obj(record), sort_keys=True))
-        fp.write("\n")
+    """Write one line per record: exactly ``json.dumps(obj, sort_keys=True)
+    + "\\n"`` of the object {commit, container, file, kind, new, old}, with
+    no container key when the container is None.
+
+    Fills one row template per record, quoting with the C function that
+    ``json.dumps`` quotes with.  Commit, names, file and container are
+    strings, as the loader and ``detect_renames`` make them.
+    """
+    quote = encode_basestring_ascii
+    fp.write(
+        "".join(
+            [
+                _RECORD_JSON
+                % (
+                    quote(r.commit),
+                    "" if r.container is None else f'"container": {quote(r.container)}, ',
+                    quote(r.file),
+                    _KIND_JSON[r.kind],
+                    quote(r.new_name),
+                    quote(r.old_name),
+                )
+                for r in records
+            ]
+        )
+    )
+
+
+# one record as json.dumps renders it, keys sorted; the second slot holds
+# the container's key and value, or nothing
+_RECORD_JSON = '{"commit": %s, %s"file": %s, "kind": %s, "new": %s, "old": %s}\n'
+_KIND_BY_VALUE = {kind.value: kind for kind in IdentifierKind}
+_KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in IdentifierKind}
 
 
 def load_rename_records_file(path) -> list[RenameRecord]:

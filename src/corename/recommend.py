@@ -64,14 +64,18 @@ class PriorProfile:
         return cls(
             weights={
                 IdentifierKind(trigger): {
-                    RelationshipKind(kind): float(json_number(value))
+                    RelationshipKind(kind): float(
+                        json_number(value, f"weights.{trigger}.{kind}")
+                    )
                     for kind, value in json_container(
                         table, dict, f"weights.{trigger}"
                     ).items()
                 }
                 for trigger, table in tables.items()
             },
-            default_weight=float(json_number(data.get("default_weight", 0.0))),
+            default_weight=float(
+                json_number(data.get("default_weight", 0.0), "default_weight")
+            ),
         )
 
     @classmethod

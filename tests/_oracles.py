@@ -1695,3 +1695,102 @@ def extract_facts_reference(sources: dict[str, str]) -> CodeFacts:
         except Exception as exc:  # defensive: a bad file must not be fatal
             builder.skipped.append((file, str(exc)))
     return builder.finish()
+
+
+# --- the JSON Lines reader and writers before their row templates ---------
+# ``corename.fileio.jsonl_objects``, ``corename.mining.load_rename_records``,
+# ``serialize_rename_records`` and ``corename.grouping.serialize_rename_sets``
+# as they were when every line went through ``json.loads`` or
+# ``json.dumps``, unchanged apart from their names.
+
+
+def jsonl_objects_by_loads(lines, keys, what, source=None):
+    from corename.errors import ParseError
+
+    for number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=number, source=source) from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{what} is not an object", line=number, source=source)
+        missing = keys - obj.keys()
+        if missing:
+            message = f"missing keys: {', '.join(sorted(missing))}"
+            raise ParseError(message, line=number, source=source)
+        yield number, obj
+
+
+def load_rename_records_per_key(stream, source=None):
+    from corename.errors import ParseError, UnknownKind
+    from corename.facts.model import IdentifierKind
+    from corename.mining import RenameRecord
+
+    records = []
+    rows = jsonl_objects_by_loads(stream, {"commit", "kind", "old", "new"}, "record", source)
+    for number, obj in rows:
+        for key in ("commit", "old", "new", "file", "container"):
+            value = obj.get(key, "")
+            if not (isinstance(value, str) or (value is None and key == "container")):
+                raise ParseError(f"{key} is not a string", line=number, source=source)
+        try:
+            kind = IdentifierKind(obj["kind"])
+        except ValueError:
+            raise UnknownKind(
+                f"unknown identifier kind: {obj['kind']!r}",
+                line=number,
+                source=source,
+            ) from None
+        if obj["old"] == obj["new"]:
+            raise ParseError(
+                "old and new names are identical", line=number, source=source
+            )
+        records.append(
+            RenameRecord(
+                commit=obj["commit"],
+                kind=kind,
+                old_name=obj["old"],
+                new_name=obj["new"],
+                file=obj.get("file", ""),
+                container=obj.get("container"),
+                index=len(records),
+            )
+        )
+    return records
+
+
+def record_to_obj(record):
+    obj = {
+        "commit": record.commit,
+        "kind": record.kind.value,
+        "old": record.old_name,
+        "new": record.new_name,
+        "file": record.file,
+    }
+    if record.container is not None:
+        obj["container"] = record.container
+    return obj
+
+
+def serialize_rename_records_by_dumps(records, fp):
+    for record in records:
+        fp.write(json.dumps(record_to_obj(record), sort_keys=True))
+        fp.write("\n")
+
+
+def serialize_rename_sets_by_dumps(collection, fp):
+    for s in collection.sets:
+        fp.write(
+            json.dumps(
+                {
+                    "commit": s.commit,
+                    "key": s.key,
+                    "members": list(s.positions),
+                },
+                sort_keys=True,
+            )
+        )
+        fp.write("\n")

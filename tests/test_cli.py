@@ -727,70 +727,142 @@ class TestMalformedInputs:
         assert f"corename: error: {bad}: line 2: invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "change",
+        "change, problem",
         [
-            lambda report: {},
-            lambda report: [1],
-            lambda report: {**report, "relationship_rates": {"Extends": "x"}},
-            lambda report: {**report, "relationship_rates": {"Extends": 10**400, "Passes": 1.0}},
-            lambda report: {**report, "size_distribution": [[2, 1, 2, "x"]]},
-            lambda report: {**report, "size_distribution": [[2, 1, 2]]},
-            lambda report: {**report, "filtered_rates": [1]},
-            lambda report: {**report, "chunk_type_rates": {"raw": {"Shuffle": 0.5}}},
-            lambda report: {**report, "record_count": "x"},
-            lambda report: {**report, "chunk_type_rates": {"raw": {"Replace": [1]}}},
-            lambda report: {**report, "mode": "stem"},
-            lambda report: {**report, "size_distribution": [[2.5, 1, 2, 1.0]]},
-            lambda report: [],
-            lambda report: {**report, "size_distribution": 5},
-            lambda report: {**report, "size_distribution": [[1]]},
-            lambda report: {**report, "relationship_rates": []},
-            lambda report: {**report, "inflection": []},
+            (lambda report: {}, "missing key 'size_distribution'"),
+            (lambda report: [1], "the document is not a JSON object"),
+            (
+                lambda report: {**report, "relationship_rates": {"Extends": "x"}},
+                "relationship_rates.Extends is not a number: 'x'",
+            ),
+            (
+                lambda report: {
+                    **report, "relationship_rates": {"Extends": 10**400, "Passes": 1.0}
+                },
+                "int too large to convert to float",
+            ),
+            (
+                lambda report: {**report, "size_distribution": [[2, 1, 2, "x"]]},
+                "size_distribution[0][3] is not a number: 'x'",
+            ),
+            (
+                lambda report: {**report, "size_distribution": [[2, 1, 2]]},
+                "size_distribution[0] does not have 4 cells",
+            ),
+            (
+                lambda report: {**report, "filtered_rates": [1]},
+                "filtered_rates is not a JSON object",
+            ),
+            (
+                lambda report: {**report, "chunk_type_rates": {"raw": {"Shuffle": 0.5}}},
+                "'Shuffle' is not a valid ChunkKind",
+            ),
+            (
+                lambda report: {**report, "record_count": "x"},
+                "record_count is not a count: 'x'",
+            ),
+            (
+                lambda report: {**report, "chunk_type_rates": {"raw": {"Replace": [1]}}},
+                "chunk_type_rates.raw.Replace is not a number: [1]",
+            ),
+            (lambda report: {**report, "mode": "stem"}, "unknown mode: 'stem'"),
+            (
+                lambda report: {**report, "size_distribution": [[2.5, 1, 2, 1.0]]},
+                "size_distribution[0][0] is not a count: 2.5",
+            ),
+            (lambda report: [], "the document is not a JSON object"),
+            (
+                lambda report: {**report, "size_distribution": 5},
+                "size_distribution is not a JSON array",
+            ),
+            (
+                lambda report: {**report, "size_distribution": [[1]]},
+                "size_distribution[0] does not have 4 cells",
+            ),
+            (
+                lambda report: {**report, "relationship_rates": []},
+                "relationship_rates is not a JSON object",
+            ),
+            (
+                lambda report: {**report, "inflection": []},
+                "inflection is not a JSON object",
+            ),
+            (
+                lambda report: {
+                    **report, "inflection": {**report["inflection"], "new_set_count": -1}
+                },
+                "inflection.new_set_count is not a count: -1",
+            ),
+            (
+                lambda report: {
+                    **report, "size_distribution": [[2, 1, 2, 0.5], [3, 1, 3, "y"]]
+                },
+                "size_distribution[1][3] is not a number: 'y'",
+            ),
+            (
+                lambda report: {**report, "filtered_rates": {"Method": {"Extends": "x"}}},
+                "filtered_rates.Method.Extends is not a number: 'x'",
+            ),
+            (
+                lambda report: {**report, "co_rename_rate": "0.5"},
+                "co_rename_rate is not a number: '0.5'",
+            ),
         ],
         ids=["empty", "list", "rate", "huge-rate", "size-row-rate", "short-size-row",
              "filtered-list", "chunk-kind", "count-string", "chunk-rate-list", "mode",
              "size-row-size", "empty-list", "sizes-number", "one-cell-size-row",
-             "rates-list", "inflection-list"],
+             "rates-list", "inflection-list", "inflection-count", "second-size-row-rate",
+             "filtered-rate", "rate-digits"],
     )
-    def test_report_shape(self, tmp_path, facts_dir, capsys, change):
+    def test_report_shape(self, tmp_path, facts_dir, capsys, change, problem):
         report = json.loads((analyze(tmp_path, facts_dir, "report") / "report.json").read_text())
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(change(report)))
         argv = ["report", "--stats", str(bad), "--out", str(tmp_path / "again"), "--plots"]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert f"corename: error: {bad}: not a report: " in err
+        assert f"corename: error: {bad}: not a report: {problem}\n" in err
         assert "Traceback" not in err
         assert not any(internal in err for internal in self.PYTHON_INTERNALS), err
 
     @pytest.mark.parametrize(
-        "profile",
+        "profile, problem",
         [
-            {"weights": {"Class": {"TypeV": "x"}}},
-            [1],
-            {"weights": {"Class": [1]}},
-            {"weights": {"Unknown": {}}},
-            {"weights": {"Class": {"Unknown": 1.0}}},
-            {"default_weight": None},
-            {"weights": {"Class": {"TypeV": 10**400}}},
-            {"weights": {"Class": {"TypeV": True}}},
-            {"weights": {"Class": {"TypeV": "0.5"}}},
-            {"default_weight": "0.5"},
-            {"weights": []},
-            {"weights": {"Method": []}},
+            ({"weights": {"Class": {"TypeV": "x"}}}, "weights.Class.TypeV is not a number: 'x'"),
+            ([1], "the document is not a JSON object"),
+            ({"weights": {"Class": [1]}}, "weights.Class is not a JSON object"),
+            ({"weights": {"Unknown": {}}}, "'Unknown' is not a valid IdentifierKind"),
+            (
+                {"weights": {"Class": {"Unknown": 1.0}}},
+                "'Unknown' is not a valid RelationshipKind",
+            ),
+            ({"default_weight": None}, "default_weight is not a number: None"),
+            ({"weights": {"Class": {"TypeV": 10**400}}}, "int too large to convert to float"),
+            ({"weights": {"Class": {"TypeV": True}}}, "weights.Class.TypeV is not a number: True"),
+            (
+                {"weights": {"Class": {"TypeV": "0.5"}}},
+                "weights.Class.TypeV is not a number: '0.5'",
+            ),
+            ({"default_weight": "0.5"}, "default_weight is not a number: '0.5'"),
+            ({"weights": []}, "weights is not a JSON object"),
+            ({"weights": {"Method": []}}, "weights.Method is not a JSON object"),
+            (
+                {"weights": {"Method": {"TypeV": "x"}}},
+                "weights.Method.TypeV is not a number: 'x'",
+            ),
         ],
         ids=["weight-string", "list", "table-list", "trigger", "kind", "default-null",
              "huge-weight", "weight-true", "weight-digits", "default-digits",
-             "weights-list", "empty-table-list"],
+             "weights-list", "empty-table-list", "method-weight-string"],
     )
-    def test_profile_shape(self, tmp_path, capsys, profile):
+    def test_profile_shape(self, tmp_path, capsys, profile, problem):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(profile))
         argv = ["recommend", "--src", str(FIG1), "--old", "MetricType",
                 "--new", "MetricAttribute", "--kind", "Class", "--profile", str(bad)]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert f"corename: error: {bad}: not a prior profile: " in err
+        assert f"corename: error: {bad}: not a prior profile: {problem}\n" in err
         assert "Traceback" not in err
         assert not any(internal in err for internal in self.PYTHON_INTERNALS), err
 

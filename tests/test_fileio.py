@@ -1,14 +1,16 @@
 """Tests for reading input files."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from _oracles import jsonl_objects_by_loads
 
 import corename
 from corename.errors import ParseError
-from corename.fileio import load_document, load_json, read_lines, read_text
+from corename.fileio import jsonl_objects, load_document, load_json, read_lines, read_text
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,9 +63,53 @@ def test_load_document_names_the_file(tmp_path, error, message):
     assert caught.value.source == path
 
 
+def _objects_outcome(read, lines):
+    """The repr of what ``read`` yields for ``lines`` (NaN is not equal to
+    itself, its repr is), or the text and line of its ParseError."""
+    try:
+        return repr(list(read(lines, {"a", "b"}, "row", "in.jsonl")))
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.text(st.sampled_from('{}[]",: 01.eE-+abflnrstuINy\\\ufeff\t\x1c\u00a0'), max_size=14)
+        | st.builds(
+            lambda value, before, after: before + json.dumps(value) + after,
+            st.dictionaries(st.sampled_from("abc"), st.integers() | st.text(max_size=2)),
+            st.sampled_from(["", " ", "\ufeff", "\x1c", "\u00a0\ufeff"]),
+            st.sampled_from(["", " ", " x", "{}", "\ufeff", "\x1c"]),
+        ),
+        max_size=4,
+    )
+)
+def test_jsonl_objects_as_json_loads_reads_them(lines):
+    # the one-decoder reader against the json.loads one it replaced
+    assert _objects_outcome(jsonl_objects, lines) == _objects_outcome(
+        jsonl_objects_by_loads, lines
+    )
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["\ufeff{}", " \ufeff {}", "{}\ufeff", "{} x", "{}{}", "{} {}", "NaN", "-Infinity",
+     '{"a": NaN, "b": Infinity}', '{"a": 1, "a": 2, "b": 3}', "[1]", '"a"', "3", "null",
+     "", " ", "\t\u2028", "{", '{"a": 1'],
+)
+def test_jsonl_objects_on_named_lines(line):
+    lines = ['{"a": 1, "b": 2}', line, '{"a": 1}']
+    assert _objects_outcome(jsonl_objects, lines) == _objects_outcome(
+        jsonl_objects_by_loads, lines
+    )
+
+
 def test_only_fileio_parses_json():
-    # one module decides how malformed JSON input is reported
+    # one module decides how malformed JSON input is reported: no other
+    # calls json.load/loads, or names a decoder or its raw_decode
     package = Path(corename.__file__).parent
+    decoding = {"JSONDecoder", "raw_decode"}
     uses = []
     for module in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
@@ -74,8 +120,12 @@ def test_only_fileio_parses_json():
                 and node.value.id == "json"
             ) or (
                 isinstance(node, ast.ImportFrom)
-                and node.module == "json"
-                and {alias.name for alias in node.names} & {"load", "loads"}
+                and node.module in ("json", "json.decoder")
+                and {alias.name for alias in node.names} & {"load", "loads", *decoding}
+            ) or (
+                isinstance(node, ast.Attribute) and node.attr in decoding
+            ) or (
+                isinstance(node, ast.Name) and node.id in decoding
             ):
                 uses.append(f"{module.relative_to(package)}:{node.lineno}")
     assert [use for use in uses if not use.startswith("fileio.py:")] == []

@@ -7,15 +7,18 @@ from itertools import combinations
 import logging
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     attach_chunks_per_record,
     build_rename_sets_copying,
     chunk_by_mode_copying,
+    serialize_rename_sets_by_dumps,
 )
 from corename.errors import ParseError
 from corename.grouping import (
+    MeaningfulRenameSet,
+    RenameSetCollection,
     attach_chunks,
     build_rename_sets,
     check_rename_sets,
@@ -174,6 +177,34 @@ class TestCollectionDifference:
 
 
 class TestSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(max_size=4),
+                st.text(
+                    st.characters() | st.sampled_from('"\\\x00\u00e9\ud800|+'), max_size=12
+                ),
+                st.lists(st.integers(0, 10**7), min_size=1, max_size=20),
+            ),
+            max_size=6,
+        )
+    )
+    def test_writer_gives_the_bytes_of_dumps(self, specs):
+        # the row-template writer against the json.dumps one it replaced
+        member = record("c", "aValue", "aResult")
+        coll = RenameSetCollection(
+            sets=tuple(
+                MeaningfulRenameSet(commit, key, (member,) * len(positions), tuple(positions))
+                for commit, key, positions in specs
+            ),
+            mode="lemma",
+        )
+        written, expected = io.StringIO(), io.StringIO()
+        serialize_rename_sets(coll, written)
+        serialize_rename_sets_by_dumps(coll, expected)
+        assert written.getvalue() == expected.getvalue()
+
     def test_round_trip(self):
         specs = [
             ("c1", "MetricType", "MetricAttribute"),

@@ -10,7 +10,11 @@ import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from _oracles import walk_history_per_commit
+from _oracles import (
+    load_rename_records_per_key,
+    serialize_rename_records_by_dumps,
+    walk_history_per_commit,
+)
 
 import corename.mining
 from corename.cli import run
@@ -18,9 +22,9 @@ from corename.errors import ParseError, RepoError, UnknownKind
 from corename.facts import extract_facts
 from corename.mining import (
     IdentifierKind,
+    RenameRecord,
     detect_renames,
     load_rename_records,
-    record_to_obj,
     serialize_rename_records,
     walk_history,
 )
@@ -162,11 +166,142 @@ class TestLoadRenameRecords:
             assert rejected
             return
         assert not rejected
-        written = record_to_obj(record)
+        written = io.StringIO()
+        serialize_rename_records([record], written)
         expected = {"file": "", **obj}
         if expected.get("container", None) is None:
             expected.pop("container", None)
-        assert json.dumps(written, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert written.getvalue() == json.dumps(expected, sort_keys=True) + "\n"
+
+
+# text that JSON escapes: quotes, backslashes, control characters, non-ASCII
+# and astral characters, and lone surrogates
+_TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600\ufeff'),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+    ),
+    max_size=6,
+)
+
+_RECORDS = st.lists(
+    st.builds(
+        RenameRecord,
+        commit=_TEXT,
+        kind=st.sampled_from(IdentifierKind),
+        old_name=_TEXT,
+        new_name=_TEXT,
+        file=st.just("") | _TEXT,
+        container=st.none() | _TEXT,
+    ),
+    max_size=8,
+)
+
+
+def _record_line(obj, ascii_only, before, after):
+    return before + json.dumps(obj, ensure_ascii=ascii_only) + after
+
+
+# lines as other writers may give them: a record object, possibly with values
+# of other types, an unknown kind or extra keys, written with or without
+# ASCII escapes and with text around it; or any short run of JSON characters
+_LINES = st.lists(
+    st.one_of(
+        st.builds(
+            _record_line,
+            st.fixed_dictionaries(
+                {
+                    "commit": _TEXT,
+                    "kind": st.sampled_from([k.value for k in IdentifierKind])
+                    | st.sampled_from(["class", ""])
+                    | _NOT_STRINGS,
+                    "old": _TEXT,
+                    "new": _TEXT,
+                },
+                optional={
+                    "file": _TEXT | _NOT_STRINGS,
+                    "container": _TEXT | _NOT_STRINGS,
+                    "extra": _NOT_STRINGS,
+                },
+            ),
+            st.booleans(),
+            st.sampled_from(["", " ", "\t", "\ufeff", " \ufeff"]),
+            st.sampled_from(["", " ", "\r", " x", "{}", "\ufeff", ","]),
+        ),
+        st.text(st.sampled_from('{}[]",: 01.eE-+aflnrstuINy\\\ufeff\t'), max_size=12),
+    ),
+    max_size=5,
+)
+
+
+def _load_outcome(load, lines):
+    """The records ``load`` reads from ``lines``, with their indices, or the
+    type, text and line of the ParseError it raises."""
+    try:
+        records = load(lines, source="r.jsonl")
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return records, [r.index for r in records]
+
+
+class TestSameAsReplacedRecordIO:
+    """The record reader and writer against the json.loads and json.dumps
+    ones they replaced, kept in tests/_oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_RECORDS)
+    def test_writer_gives_the_bytes_of_dumps(self, records):
+        written, expected = io.StringIO(), io.StringIO()
+        serialize_rename_records(records, written)
+        serialize_rename_records_by_dumps(records, expected)
+        assert written.getvalue() == expected.getvalue()
+
+    @settings(max_examples=500, deadline=None)
+    @given(_LINES)
+    def test_reader_gives_the_records_or_error_of_loads(self, lines):
+        assert _load_outcome(load_rename_records, lines) == _load_outcome(
+            load_rename_records_per_key, lines
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeff" + line(commit="c", kind="Class", old="A", new="B"),
+            "{} x",
+            "{}{}",
+            line(commit="c", kind="Class", old="A", new="B") + " x",
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            '{"commit": "c", "kind": "Class", "old": NaN, "new": "B"}',
+            "[1]",
+            '"c"',
+            "3",
+            "null",
+            '{"commit": 1, "commit": "c", "kind": "Class", "old": "A", "new": "B"}',
+            '{"commit": "c", "kind": "Class", "old": "A", "new": "B", "new": 2}',
+            line(commit="c", kind=["Class"], old="A", new="B"),
+            line(commit="c", kind=1, old="A", new="B"),
+            line(commit="c", kind=None, old="A", new="B"),
+            *(
+                line(**{"commit": "c", "kind": "Class", "old": "A", "new": "B", key: value})
+                for key in ("commit", "old", "new", "file", "container")
+                for value in (None, 1, 1.5, True, ["x"], {"x": 1})
+            ),
+            line(commit=["c"], kind=7, old=1, new="B"),
+            line(commit="c", kind="Class", old="A", new="A"),
+            line(commit="c", kind=7, old="A", new="A"),
+            "",
+            " \t ",
+            "\u2028",
+        ],
+    )
+    def test_reader_on_named_lines(self, text):
+        good = line(commit="c", kind="Class", old="X", new="Y", file="f", container="P")
+        lines = [good, "", text, good]
+        outcome = _load_outcome(load_rename_records, lines)
+        assert outcome == _load_outcome(load_rename_records_per_key, lines)
 
 
 class TestDetectRenames:
