@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .chunks import ChunkKind
 from .errors import NoDataError
@@ -39,8 +38,7 @@ def co_rename_rate(coll: RenameSetCollection) -> float:
     return shared / total
 
 
-@dataclass(frozen=True)
-class SizeRow:
+class SizeRow(NamedTuple):
     set_size: int
     unique_names: int
     members: int
@@ -145,8 +143,7 @@ def _shares(counts: Counter, empty: str) -> dict:
     return {kind: counts[kind] / total for kind in sorted(counts, key=lambda k: k.value)}
 
 
-@dataclass(frozen=True)
-class InflectionImpact:
+class InflectionImpact(NamedTuple):
     """Paired raw/lemma statistics and the sets created by folding inflection."""
 
     raw_co_rename_rate: float | None
@@ -189,8 +186,7 @@ def _inflection(
     )
 
 
-@dataclass(frozen=True)
-class WorkCounts:
+class WorkCounts(NamedTuple):
     """How much relationship work one analysis did, and on which facts the
     headline sets' commits were analyzed (not in the report)."""
 
@@ -201,29 +197,66 @@ class WorkCounts:
     empty_commits: int
 
 
-@dataclass(frozen=True)
+# the RepoStats fields that the report holds, in order
+_REPORTED = (
+    "mode",
+    "record_count",
+    "set_count",
+    "member_total",
+    "co_rename_rate",
+    "size_distribution",
+    "relationship_rates",
+    "filtered_rates",
+    "chunk_type_rates",
+    "inflection",
+)
+
+
 class RepoStats:
     """Everything one analysis run reports.
 
     Optional fields hold None where the underlying population was empty;
-    a missing value is reported as such, never as a silent zero.
+    a missing value is reported as such, never as a silent zero.  ``work``
+    (how much relationship work the analysis did) and ``collection`` (the
+    sets behind the headline statistics) are not in the report, and
+    equality ignores them.  Instances are immutable.
     """
 
-    mode: str
-    record_count: int
-    set_count: int
-    member_total: int
-    co_rename_rate: float | None
-    size_distribution: tuple[SizeRow, ...]
-    relationship_rates: dict[RelationshipKind, float] | None
-    filtered_rates: dict[IdentifierKind, dict[RelationshipKind, float] | None]
-    chunk_type_rates: dict[str, dict[ChunkKind, float] | None]
-    inflection: InflectionImpact | None
-    work: WorkCounts | None = field(default=None, compare=False)
-    # the sets behind the headline statistics (not in the report)
-    collection: RenameSetCollection | None = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = (*_REPORTED, "work", "collection")
+
+    def __init__(
+        self,
+        mode: str,
+        record_count: int,
+        set_count: int,
+        member_total: int,
+        co_rename_rate: float | None,
+        size_distribution: tuple[SizeRow, ...],
+        relationship_rates: dict[RelationshipKind, float] | None,
+        filtered_rates: dict[IdentifierKind, dict[RelationshipKind, float] | None],
+        chunk_type_rates: dict[str, dict[ChunkKind, float] | None],
+        inflection: InflectionImpact | None,
+        work: WorkCounts | None = None,
+        collection: RenameSetCollection | None = None,
+    ):
+        arguments = locals()
+        for name in RepoStats.__slots__:
+            object.__setattr__(self, name, arguments[name])
+
+    # one method for both: __delattr__ is called without a value
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"RepoStats is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not RepoStats:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in _REPORTED)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in (*_REPORTED, "work"))
+        return f"RepoStats({fields})"
 
     def to_json(self) -> dict:
         def rates(mapping):
@@ -255,7 +288,7 @@ class RepoStats:
         if self.inflection is not None:
             inf = self.inflection
             data["inflection"] = {
-                **vars(inf),  # the JSON keys are the field names
+                **inf._asdict(),  # the JSON keys are the field names
                 "new_set_relationship_rates": rates(inf.new_set_relationship_rates),
             }
         return data

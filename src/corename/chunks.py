@@ -10,7 +10,7 @@ reported per word position as Inflect or Other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateResult
 from .lexicon import (
@@ -39,8 +39,7 @@ _KEY_TAG = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class OperationalChunk:
+class OperationalChunk(NamedTuple):
     """One contiguous word-level edit.
 
     ``anchor`` is the index of the chunk's left boundary in the old word

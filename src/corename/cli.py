@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
 import logging
 import sys
@@ -84,12 +83,6 @@ def _apply_config(args: argparse.Namespace) -> None:
         setattr(args, action.dest, value)
 
 
-def _write_lines(path, render) -> None:
-    buffer = io.StringIO()
-    render(buffer)
-    atomic_write(path, buffer.getvalue())
-
-
 def _cmd_mine(args) -> int:
     from .mining import load_rename_records_file, serialize_rename_records
 
@@ -121,7 +114,7 @@ def _cmd_mine(args) -> int:
             f"mined {commits} commits: {compared} file pairs compared, "
             f"{skipped} added or deleted files skipped"
         )
-    _write_lines(args.out, lambda fp: serialize_rename_records(records, fp))
+    atomic_write(args.out, lambda fp: serialize_rename_records(records, fp))
     print(f"wrote {len(records)} rename records to {args.out}", file=sys.stderr)
     if work:
         print(work, file=sys.stderr)
@@ -136,7 +129,7 @@ def _cmd_group(args) -> int:
     records = load_rename_records_file(args.renames)
     chunks = chunk_by_mode(records, (mode,), _lemmatizer(args))[mode]
     collection = build_rename_sets(records, chunks, mode)
-    _write_lines(args.out, lambda fp: serialize_rename_sets(collection, fp))
+    atomic_write(args.out, lambda fp: serialize_rename_sets(collection, fp))
     print(
         f"wrote {len(collection)} rename sets "
         f"({collection.member_total()} members) to {args.out}",

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import NoneType
+from typing import NamedTuple
 
 from ..errors import ParseError
 from ..fileio import atomic_write, load_document
@@ -47,8 +47,7 @@ class RelationshipKind(str, enum.Enum):
     PASSES = "Passes"
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     id: int
     kind: EntityKind
     name: str
@@ -56,7 +55,22 @@ class Entity:
     file: str
 
 
-@dataclass
+# column types of each table row: "i" an entity id, "s" a name
+_COLUMNS = {
+    "contains": "ii",
+    "extends": "is",
+    "implements": "is",
+    "typed": "is",
+    "returns": "is",
+    "invokes": "is",
+    "accesses": "is",
+    "assigns": "sss",
+    "passes": "sss",
+    "skipped": "ss",
+}
+_TABLES = ("entities", *_COLUMNS)
+
+
 class CodeFacts:
     """Entity and relation tables for one source snapshot.
 
@@ -75,26 +89,49 @@ class CodeFacts:
     - passes: (formal parameter name, actual argument name, argument form)
     """
 
-    entities: tuple[Entity, ...] = ()
-    contains: tuple[tuple[int, int], ...] = ()
-    extends: tuple[tuple[int, str], ...] = ()
-    implements: tuple[tuple[int, str], ...] = ()
-    typed: tuple[tuple[int, str], ...] = ()
-    returns: tuple[tuple[int, str], ...] = ()
-    invokes: tuple[tuple[int, str], ...] = ()
-    accesses: tuple[tuple[int, str], ...] = ()
-    assigns: tuple[tuple[str, str, str], ...] = ()
-    passes: tuple[tuple[str, str, str], ...] = ()
-    skipped: tuple[tuple[str, str], ...] = ()
+    __slots__ = (*_TABLES, "_index", "__weakref__")
 
-    _index: "FactsIndex | None" = field(
-        default=None, repr=False, compare=False, hash=False
-    )
+    def __init__(
+        self,
+        *,
+        entities: tuple[Entity, ...] = (),
+        contains: tuple[tuple[int, int], ...] = (),
+        extends: tuple[tuple[int, str], ...] = (),
+        implements: tuple[tuple[int, str], ...] = (),
+        typed: tuple[tuple[int, str], ...] = (),
+        returns: tuple[tuple[int, str], ...] = (),
+        invokes: tuple[tuple[int, str], ...] = (),
+        accesses: tuple[tuple[int, str], ...] = (),
+        assigns: tuple[tuple[str, str, str], ...] = (),
+        passes: tuple[tuple[str, str, str], ...] = (),
+        skipped: tuple[tuple[str, str], ...] = (),
+    ):
+        self.entities = entities
+        self.contains = contains
+        self.extends = extends
+        self.implements = implements
+        self.typed = typed
+        self.returns = returns
+        self.invokes = invokes
+        self.accesses = accesses
+        self.assigns = assigns
+        self.passes = passes
+        self.skipped = skipped
+        self._index = None  # built on first use
+
+    def __eq__(self, other):
+        """Equal tables; whether either index is built does not matter."""
+        if type(other) is not CodeFacts:
+            return NotImplemented
+        return all(getattr(self, t) == getattr(other, t) for t in _TABLES)
+
+    def __repr__(self) -> str:
+        return f"CodeFacts({', '.join(f'{t}={getattr(self, t)!r}' for t in _TABLES)})"
 
     @property
-    def index(self) -> "FactsIndex":
+    def index(self) -> FactsIndex:
         if self._index is None:
-            object.__setattr__(self, "_index", FactsIndex(self))
+            self._index = FactsIndex(self)
         return self._index
 
     def qualified_path(self, entity: Entity) -> str:
@@ -200,20 +237,6 @@ _ENTITY_JSON = (
     '{\n      "container": %s,\n      "file": %s,\n      "id": %s,'
     '\n      "kind": %s,\n      "name": %s\n    }'
 )
-
-# column types of each table row: "i" an entity id, "s" a name
-_COLUMNS = {
-    "contains": "ii",
-    "extends": "is",
-    "implements": "is",
-    "typed": "is",
-    "returns": "is",
-    "invokes": "is",
-    "accesses": "is",
-    "assigns": "sss",
-    "passes": "sss",
-    "skipped": "ss",
-}
 
 
 def _table(data: dict, key: str) -> list:

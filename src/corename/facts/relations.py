@@ -10,13 +10,12 @@ result for (a, b) equals the result for (b, a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import CodeFacts, FactsIndex, RelationshipKind
 
 
-@dataclass(frozen=True)
-class RelationshipRule:
+class RelationshipRule(NamedTuple):
     kind: RelationshipKind
     description: str
 

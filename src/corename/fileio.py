@@ -100,11 +100,15 @@ def load_document(path, build: Callable, what: str):
 
 def json_number(value, name: str):
     """``value`` if it is a JSON number a float can hold, so not a boolean
-    or a string of digits; TypeError ``<name> is not a number: <value>`` or
-    OverflowError otherwise."""
+    or a string of digits; TypeError ``<name> is not a number: <value>`` or,
+    for a larger int, OverflowError ``<name> is not a number a float can
+    hold: <value>`` otherwise."""
     if type(value) not in (int, float):
         raise TypeError(f"{name} is not a number: {value!r}")
-    float(value)  # OverflowError for a larger int
+    try:
+        float(value)
+    except OverflowError:
+        raise OverflowError(f"{name} is not a number a float can hold: {value!r}") from None
     return value
 
 
@@ -116,14 +120,18 @@ def json_container(value, kind: type, name: str):
     return value
 
 
-def atomic_write(path, content: str) -> Path:
-    """Write text to ``path`` via a temp file and rename."""
+def atomic_write(path, content: str | Callable) -> Path:
+    """Write text to ``path`` via a temp file and rename.  ``content`` is the
+    text, or a function that writes it to the open temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

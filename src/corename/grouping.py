@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
 from itertools import combinations, count, zip_longest
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .chunks import OperationalChunk, chunk_key, diff_lemmas, form_chunks
 from .errors import InvalidIdentifier, ParseError
@@ -19,9 +18,12 @@ Chunks = tuple[OperationalChunk, ...]
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class MeaningfulRenameSet:
-    """All renames of one commit whose chunks include one shared chunk key."""
+class MeaningfulRenameSet(NamedTuple):
+    """All renames of one commit whose chunks include one shared chunk key.
+
+    ``len`` counts the members.  ``_replace`` checks a copy's length against
+    the field count, so a changed set is built with the constructor.
+    """
 
     commit: str
     key: str
@@ -40,8 +42,10 @@ class MeaningfulRenameSet:
         return len({m.old_name for m in self.members})
 
 
-@dataclass(frozen=True)
-class RenameSetCollection:
+class RenameSetCollection(NamedTuple):
+    """One mode's rename sets.  ``len`` counts the sets; as with a set, a
+    changed collection is built with the constructor."""
+
     sets: tuple[MeaningfulRenameSet, ...]
     mode: str
 
@@ -128,7 +132,7 @@ def attach_chunks(
     given mode, as ``recommend`` takes its trigger; see ``chunk_by_mode``."""
     records = list(records)
     chunks = chunk_by_mode(records, (mode,), lemmatizer)[mode]
-    return [replace(r, chunks=c) for r, c in zip(records, chunks)]
+    return [r._replace(chunks=c) for r, c in zip(records, chunks)]
 
 
 def chunk_keys(chunks: Chunks) -> tuple[str, ...]:
@@ -188,17 +192,13 @@ def serialize_rename_sets(collection: RenameSetCollection, fp) -> None:
     ..., "members": [positions]}, sort_keys=True) + "\\n"``.
 
     Fills one row template per set, quoting with the C function that
-    ``json.dumps`` quotes with; positions are ints, as
-    ``build_rename_sets`` makes them.
+    ``json.dumps`` quotes with, and writes each row as it is filled;
+    positions are ints, as ``build_rename_sets`` makes them.
     """
     quote = encode_basestring_ascii
-    fp.write(
-        "".join(
-            [
-                _SET_JSON % (quote(s.commit), quote(s.key), ", ".join(map(str, s.positions)))
-                for s in collection.sets
-            ]
-        )
+    fp.writelines(
+        _SET_JSON % (quote(s.commit), quote(s.key), ", ".join(map(str, s.positions)))
+        for s in collection.sets
     )
 
 

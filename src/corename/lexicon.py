@@ -18,8 +18,8 @@ lemma-mode sequence is derived from the raw one without splitting again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import InvalidIdentifier, ParseError
 from .fileio import read_lines
@@ -61,8 +61,7 @@ def re_case(word: str, casing: str) -> str:
     return word
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(NamedTuple):
     """One word of an identifier.
 
     ``folded`` is always ``surface.lower()``; ``lemma`` equals ``folded``
@@ -75,9 +74,12 @@ class Word:
     casing: str
 
 
-@dataclass(frozen=True, slots=True)
-class WordSequence:
-    """The words of one identifier, in order, plus the raw identifier."""
+class WordSequence(NamedTuple):
+    """The words of one identifier, in order, plus the raw identifier.
+
+    ``len`` counts the words.  ``_replace`` checks a copy's length against
+    the field count, so a changed sequence is built with the constructor.
+    """
 
     origin: str
     words: tuple[Word, ...]

@@ -12,9 +12,8 @@ from __future__ import annotations
 import contextlib
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, RepoError, UnknownKind
 from .facts.model import CodeFacts, EntityKind, IdentifierKind
@@ -24,9 +23,12 @@ if TYPE_CHECKING:  # chunks loads the word layer, which mining never runs
     from .chunks import OperationalChunk
 
 
-@dataclass(frozen=True, slots=True)
-class RenameRecord:
-    """One identifier rename in one commit."""
+class RenameRecord(NamedTuple):
+    """One identifier rename in one commit.
+
+    ``index`` is the record's place in the file it was loaded from; like
+    every field, it takes part in equality.
+    """
 
     commit: str
     kind: IdentifierKind
@@ -35,7 +37,7 @@ class RenameRecord:
     file: str = ""
     container: str | None = None
     chunks: tuple[OperationalChunk, ...] = ()
-    index: int | None = field(default=None, compare=False)
+    index: int | None = None
 
 
 def load_rename_records(
@@ -95,25 +97,22 @@ def serialize_rename_records(records: Iterable[RenameRecord], fp) -> None:
     no container key when the container is None.
 
     Fills one row template per record, quoting with the C function that
-    ``json.dumps`` quotes with.  Commit, names, file and container are
-    strings, as the loader and ``detect_renames`` make them.
+    ``json.dumps`` quotes with, and writes each row as it is filled, so the
+    whole text is never held at once.  Commit, names, file and container
+    are strings, as the loader and ``detect_renames`` make them.
     """
     quote = encode_basestring_ascii
-    fp.write(
-        "".join(
-            [
-                _RECORD_JSON
-                % (
-                    quote(r.commit),
-                    "" if r.container is None else f'"container": {quote(r.container)}, ',
-                    quote(r.file),
-                    _KIND_JSON[r.kind],
-                    quote(r.new_name),
-                    quote(r.old_name),
-                )
-                for r in records
-            ]
+    fp.writelines(
+        _RECORD_JSON
+        % (
+            quote(r.commit),
+            "" if r.container is None else f'"container": {quote(r.container)}, ',
+            quote(r.file),
+            _KIND_JSON[r.kind],
+            quote(r.new_name),
+            quote(r.old_name),
         )
+        for r in records
     )
 
 
@@ -185,8 +184,7 @@ def detect_renames(
     return records
 
 
-@dataclass(frozen=True)
-class CommitFiles:
+class CommitFiles(NamedTuple):
     """One commit plus the before/after text of its changed source files."""
 
     commit: str

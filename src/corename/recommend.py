@@ -12,7 +12,7 @@ which is zero in the shipped profile.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chunks import anchor_lemma, apply_chunk
 from .errors import DegenerateResult, InvalidIdentifier, NoDataError
@@ -33,8 +33,7 @@ _KIND_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class PriorProfile:
+class PriorProfile(NamedTuple):
     """Per-trigger-kind weights over relationship kinds."""
 
     weights: dict[IdentifierKind, dict[RelationshipKind, float]]
@@ -126,8 +125,7 @@ def build_prior_profile(
     return PriorProfile(weights=weights, default_weight=default_weight)
 
 
-@dataclass(frozen=True)
-class RecommendationCandidate:
+class RecommendationCandidate(NamedTuple):
     target_name: str
     target_kind: EntityKind
     file: str
@@ -251,15 +249,7 @@ def rank_candidates(
     """Score and order candidates: score descending, then entity kind,
     then name; candidates under ``min_score`` are dropped when it is set."""
     scored = [
-        RecommendationCandidate(
-            target_name=c.target_name,
-            target_kind=c.target_kind,
-            file=c.file,
-            container=c.container,
-            proposed_name=c.proposed_name,
-            relationships=c.relationships,
-            score=score_candidate(c, profile, trigger_kind),
-        )
+        c._replace(score=score_candidate(c, profile, trigger_kind))
         for c in candidates
     ]
     if min_score is not None:

@@ -385,8 +385,6 @@ def split_identifier_reference(name: str):
 
 def normalize_reference(name: str, mode: str = "lemma", lemmatizer=None):
     """Split and case-fold an identifier; lemmatize in ``lemma`` mode."""
-    from dataclasses import replace
-
     from corename.lexicon import MODES, WordSequence, default_lemmatizer
 
     if mode not in MODES:
@@ -395,15 +393,13 @@ def normalize_reference(name: str, mode: str = "lemma", lemmatizer=None):
     if mode == "raw":
         return seq
     lem = lemmatizer or default_lemmatizer()
-    words = tuple(replace(w, lemma=lem(w.folded)) for w in seq.words)
+    words = tuple(w._replace(lemma=lem(w.folded)) for w in seq.words)
     return WordSequence(origin=seq.origin, words=words)
 
 
 def attach_chunks_per_record(records, mode, lemmatizer=None):
     """``attach_chunks`` splitting both names of every record afresh with
     the old splitter, and diffing every record on its own."""
-    from dataclasses import replace
-
     from corename.chunks import diff_chunks
     from corename.errors import InvalidIdentifier
 
@@ -413,10 +409,10 @@ def attach_chunks_per_record(records, mode, lemmatizer=None):
             old_seq = normalize_reference(record.old_name, mode, lemmatizer)
             new_seq = normalize_reference(record.new_name, mode, lemmatizer)
         except InvalidIdentifier:
-            out.append(replace(record, chunks=()))
+            out.append(record._replace(chunks=()))
             continue
         out.append(
-            replace(record, chunks=tuple(diff_chunks(old_seq, new_seq, mode)))
+            record._replace(chunks=tuple(diff_chunks(old_seq, new_seq, mode)))
         )
     return out
 

@@ -146,10 +146,10 @@ def _env_with_src():
     )}
 
 
-# runs the CLI in a fresh interpreter and prints the corename modules it loaded
+# runs the CLI in a fresh interpreter and prints, last, the modules it loaded
 _MODULES_PROBE = (
     "import sys; from corename.cli import run; code = run(sys.argv[1:]); "
-    "print(code, *sorted(m for m in sys.modules if m.startswith('corename.')))"
+    "print(code, *sorted(sys.modules))"
 )
 
 
@@ -157,14 +157,20 @@ class TestModulesPerCommand:
     """Each command loads only the modules it runs: one stray top-level
     import would bring start-up cost back to every process."""
 
-    def loaded(self, *argv):
+    def all_loaded(self, *argv):
         proc = subprocess.run(
             [sys.executable, "-c", _MODULES_PROBE, *map(str, argv)],
             capture_output=True, text=True, env=_env_with_src(),
         )
-        code, *modules = proc.stdout.split()
+        code, *modules = proc.stdout.splitlines()[-1].split()
         assert code == "0", proc.stderr
-        return {m.removeprefix("corename.") for m in modules}
+        return set(modules)
+
+    def loaded(self, *argv):
+        return {
+            m.removeprefix("corename.") for m in self.all_loaded(*argv)
+            if m.startswith("corename.")
+        }
 
     def test_modules_per_command(self, tmp_path):
         renames, sets, facts = tmp_path / "renames.jsonl", tmp_path / "sets.jsonl", tmp_path / "facts"
@@ -183,6 +189,37 @@ class TestModulesPerCommand:
                              "--facts-dir", facts, "--out", tmp_path / "report")
         assert {"analytics", "facts.relations"} <= loaded
         assert not loaded & {"recommend", "facts.parser"}
+
+    def test_no_code_generation_at_start_up(self, tmp_path):
+        # dataclasses loads inspect (and ast, dis, tokenize) and compiles the
+        # methods of each class it decorates: about 25 ms of every process
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys; print(*sorted(sys.modules))"],
+            capture_output=True, text=True, env=_env_with_src(), check=True,
+        ).stdout.split()
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        git(repo, "init", "-q")
+        (repo / "A.java").write_text("class Foo { int count; }")
+        git(repo, "add", "A.java")
+        git(repo, "commit", "-qm", "one")
+        (repo / "A.java").write_text("class Foo { int total; }")
+        git(repo, "commit", "-qam", "two")
+        renames, sets, facts = tmp_path / "renames.jsonl", tmp_path / "sets.jsonl", tmp_path / "facts"
+        commands = [
+            ("mine", "--repo", repo, "--out", tmp_path / "mined.jsonl"),
+            ("mine", "--records", CORPUS / "renames.jsonl", "--out", renames),
+            ("facts", "--src", CORPUS / "src" / "c01", "--out", facts / "c01.json"),
+            ("group", "--renames", renames, "--out", sets),
+            ("analyze", "--renames", renames, "--sets", sets, "--facts-dir", facts,
+             "--out", tmp_path / "report"),
+            ("recommend", "--src", FIG1, "--old", "MetricType", "--new", "MetricAttribute",
+             "--kind", "Class"),
+        ]
+        for argv in commands:
+            added = self.all_loaded(*argv) - set(bare)
+            assert "corename.cli" in added
+            assert not added & {"dataclasses", "inspect"}, argv[:2]
 
 
 def git(repo, *args):
@@ -739,7 +776,7 @@ class TestMalformedInputs:
                 lambda report: {
                     **report, "relationship_rates": {"Extends": 10**400, "Passes": 1.0}
                 },
-                "int too large to convert to float",
+                f"relationship_rates.Extends is not a number a float can hold: {10**400}",
             ),
             (
                 lambda report: {**report, "size_distribution": [[2, 1, 2, "x"]]},
@@ -837,7 +874,10 @@ class TestMalformedInputs:
                 "'Unknown' is not a valid RelationshipKind",
             ),
             ({"default_weight": None}, "default_weight is not a number: None"),
-            ({"weights": {"Class": {"TypeV": 10**400}}}, "int too large to convert to float"),
+            (
+                {"weights": {"Class": {"TypeV": 10**400}}},
+                f"weights.Class.TypeV is not a number a float can hold: {10**400}",
+            ),
             ({"weights": {"Class": {"TypeV": True}}}, "weights.Class.TypeV is not a number: True"),
             (
                 {"weights": {"Class": {"TypeV": "0.5"}}},

@@ -130,3 +130,22 @@ def test_only_fileio_parses_json():
                 uses.append(f"{module.relative_to(package)}:{node.lineno}")
     assert [use for use in uses if not use.startswith("fileio.py:")] == []
     assert uses  # fileio itself is seen
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # class it decorates compiles generated methods: start-up cost that every
+    # CLI process would pay; the value types are named tuples instead
+    package = Path(corename.__file__).parent
+    uses = []
+    for module in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "dataclasses"
+            ):
+                uses.append(f"{module.relative_to(package)}:{node.lineno}")
+    assert uses == []
