@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .chunks import ChunkKind
-from .errors import NoDataError
 from .facts.model import CodeFacts, RelationshipKind
 from .facts.relations import detect_relationships
 from .fileio import atomic_write, json_container, json_number, load_document
@@ -29,13 +29,13 @@ from .mining import IdentifierKind, RenameRecord
 _EMPTY_FACTS = CodeFacts()
 
 
-def co_rename_rate(coll: RenameSetCollection) -> float:
-    """Members of multi-member sets over members of all sets."""
+def co_rename_rate(coll: RenameSetCollection) -> float | None:
+    """Members of multi-member sets over members of all sets; None if there
+    are no sets."""
     if not coll.sets:
-        raise NoDataError("no rename sets")
-    total = coll.member_total()
+        return None
     shared = sum(len(s) for s in coll.sets if len(s) >= 2)
-    return shared / total
+    return shared / coll.member_total()
 
 
 class SizeRow(NamedTuple):
@@ -45,36 +45,26 @@ class SizeRow(NamedTuple):
     cumulative_rate: float
 
 
-def size_distribution(coll: RenameSetCollection) -> list[SizeRow]:
-    """Histogram rows (n, m, members, cumulative) for co-renaming sets.
+def size_distribution(coll: RenameSetCollection) -> tuple[SizeRow, ...]:
+    """Histogram rows (n, m, members, cumulative) for co-renaming sets, in
+    (n, m) order; ``()`` if there are none.
 
     ``m`` counts distinct pre-rename names in the set; the cumulative rate
     covers members of sets no larger than n, over all co-renaming members.
     """
-    if not coll.sets:
-        raise NoDataError("no rename sets")
     cells: Counter[tuple[int, int]] = Counter()
     for s in coll.sets:
         if len(s) >= 2:
             cells[(len(s), s.unique_old_names())] += len(s)
-    denominator = sum(cells.values())
-    members_by_size: Counter[int] = Counter()
+    by_size: Counter[int] = Counter()
     for (n, _m), members in cells.items():
-        members_by_size[n] += members
-    rows = []
-    running = 0
-    for n in sorted(members_by_size):
-        running += members_by_size[n]
-        for m in sorted(m for (size, m) in cells if size == n):
-            rows.append(
-                SizeRow(
-                    set_size=n,
-                    unique_names=m,
-                    members=cells[(n, m)],
-                    cumulative_rate=running / denominator,
-                )
-            )
-    return rows
+        by_size[n] += members
+    sizes = sorted(by_size)
+    upto = dict(zip(sizes, accumulate(by_size[n] for n in sizes)))  # running total
+    total = sum(cells.values())
+    return tuple(
+        SizeRow(n, m, cells[n, m], upto[n] / total) for n, m in sorted(cells)
+    )
 
 
 class _Detections:
@@ -114,7 +104,7 @@ class _Detections:
 
 def _pooled_rates(
     counted: list, kind_filter: IdentifierKind | None = None
-) -> dict[RelationshipKind, float]:
+) -> dict[RelationshipKind, float] | None:
     """Rates over the summed counts of the counted sets; with ``kind_filter``,
     only of sets containing at least one rename of that identifier kind."""
     counts: Counter[RelationshipKind] = Counter()
@@ -123,23 +113,18 @@ def _pooled_rates(
             m.kind == kind_filter for m in rename_set.members
         ):
             counts.update(set_counts)
-    return _shares(
-        counts,
-        "no relationships detected"
-        + (f" for filter {kind_filter.value}" if kind_filter else ""),
-    )
+    return _shares(counts)
 
 
-def _chunk_rates(chunks: list[Chunks]) -> dict[ChunkKind, float]:
-    counts = Counter(chunk.kind for record_chunks in chunks for chunk in record_chunks)
-    return _shares(counts, "no operational chunks")
+def _chunk_rates(chunks: list[Chunks]) -> dict[ChunkKind, float] | None:
+    return _shares(Counter(chunk.kind for record_chunks in chunks for chunk in record_chunks))
 
 
-def _shares(counts: Counter, empty: str) -> dict:
-    """Each kind's share of the counts; NoDataError(empty) if there are none."""
+def _shares(counts: Counter) -> dict | None:
+    """Each kind's share of the counts; None if there are none."""
     total = sum(counts.values())
     if total == 0:
-        raise NoDataError(empty)
+        return None
     return {kind: counts[kind] / total for kind in sorted(counts, key=lambda k: k.value)}
 
 
@@ -156,13 +141,6 @@ class InflectionImpact(NamedTuple):
     new_set_relationship_rates: dict[RelationshipKind, float] | None
 
 
-def _or_none(fn, *args, **kw):
-    try:
-        return fn(*args, **kw)
-    except NoDataError:
-        return None
-
-
 def _inflection(
     collections: dict[str, RenameSetCollection], detections, with_facts: bool
 ) -> InflectionImpact:
@@ -173,10 +151,10 @@ def _inflection(
     new_sets = collection_difference(lemma_coll, raw_coll)
     new_rates = None
     if with_facts and new_sets:
-        new_rates = _or_none(_pooled_rates, detections.count_sets(new_sets))
+        new_rates = _pooled_rates(detections.count_sets(new_sets))
     return InflectionImpact(
-        raw_co_rename_rate=_or_none(co_rename_rate, raw_coll),
-        lemma_co_rename_rate=_or_none(co_rename_rate, lemma_coll),
+        raw_co_rename_rate=co_rename_rate(raw_coll),
+        lemma_co_rename_rate=co_rename_rate(lemma_coll),
         raw_set_count=len(raw_coll),
         lemma_set_count=len(lemma_coll),
         raw_member_total=raw_coll.member_total(),
@@ -197,99 +175,40 @@ class WorkCounts(NamedTuple):
     empty_commits: int
 
 
-# the RepoStats fields that the report holds, in order
-_REPORTED = (
-    "mode",
-    "record_count",
-    "set_count",
-    "member_total",
-    "co_rename_rate",
-    "size_distribution",
-    "relationship_rates",
-    "filtered_rates",
-    "chunk_type_rates",
-    "inflection",
-)
-
-
-class RepoStats:
-    """Everything one analysis run reports.
+class RepoStats(NamedTuple):
+    """Everything one analysis reports; the fields are the keys of
+    ``report.json``, in order.
 
     Optional fields hold None where the underlying population was empty;
-    a missing value is reported as such, never as a silent zero.  ``work``
-    (how much relationship work the analysis did) and ``collection`` (the
-    sets behind the headline statistics) are not in the report, and
-    equality ignores them.  Instances are immutable.
+    a missing value is reported as such, never as a silent zero.
     """
 
-    __slots__ = (*_REPORTED, "work", "collection")
-
-    def __init__(
-        self,
-        mode: str,
-        record_count: int,
-        set_count: int,
-        member_total: int,
-        co_rename_rate: float | None,
-        size_distribution: tuple[SizeRow, ...],
-        relationship_rates: dict[RelationshipKind, float] | None,
-        filtered_rates: dict[IdentifierKind, dict[RelationshipKind, float] | None],
-        chunk_type_rates: dict[str, dict[ChunkKind, float] | None],
-        inflection: InflectionImpact | None,
-        work: WorkCounts | None = None,
-        collection: RenameSetCollection | None = None,
-    ):
-        arguments = locals()
-        for name in RepoStats.__slots__:
-            object.__setattr__(self, name, arguments[name])
-
-    # one method for both: __delattr__ is called without a value
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"RepoStats is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not RepoStats:
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in _REPORTED)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in (*_REPORTED, "work"))
-        return f"RepoStats({fields})"
+    mode: str
+    record_count: int
+    set_count: int
+    member_total: int
+    co_rename_rate: float | None
+    size_distribution: tuple[SizeRow, ...]
+    relationship_rates: dict[RelationshipKind, float] | None
+    filtered_rates: dict[IdentifierKind, dict[RelationshipKind, float] | None]
+    chunk_type_rates: dict[str, dict[ChunkKind, float] | None]
+    inflection: InflectionImpact | None
 
     def to_json(self) -> dict:
-        def rates(mapping):
-            if mapping is None:
-                return None
-            return {k.value: v for k, v in sorted(mapping.items(), key=lambda kv: kv[0].value)}
+        """The JSON value of the report; ``emit_report`` sorts its keys."""
 
-        data = {
-            "mode": self.mode,
-            "record_count": self.record_count,
-            "set_count": self.set_count,
-            "member_total": self.member_total,
-            "co_rename_rate": self.co_rename_rate,
-            "size_distribution": [
-                [r.set_size, r.unique_names, r.members, r.cumulative_rate]
-                for r in self.size_distribution
-            ],
-            "relationship_rates": rates(self.relationship_rates),
-            "filtered_rates": {
-                k.value: rates(v) for k, v in sorted(
-                    self.filtered_rates.items(), key=lambda kv: kv[0].value
-                )
-            },
-            "chunk_type_rates": {
-                mode: rates(v) for mode, v in sorted(self.chunk_type_rates.items())
-            },
-            "inflection": None,
-        }
+        def rates(mapping):
+            return None if mapping is None else {k.value: v for k, v in mapping.items()}
+
+        data = self._asdict()  # the JSON keys are the field names
+        data["size_distribution"] = [list(row) for row in self.size_distribution]
+        data["relationship_rates"] = rates(self.relationship_rates)
+        data["filtered_rates"] = {k.value: rates(v) for k, v in self.filtered_rates.items()}
+        data["chunk_type_rates"] = {m: rates(v) for m, v in self.chunk_type_rates.items()}
         if self.inflection is not None:
-            inf = self.inflection
             data["inflection"] = {
-                **inf._asdict(),  # the JSON keys are the field names
-                "new_set_relationship_rates": rates(inf.new_set_relationship_rates),
+                **self.inflection._asdict(),
+                "new_set_relationship_rates": rates(self.inflection.new_set_relationship_rates),
             }
         return data
 
@@ -373,6 +292,15 @@ def _mode(value) -> str:
     return value
 
 
+class Analysis(NamedTuple):
+    """One analysis: the report, how much relationship work it did, and the
+    sets behind its headline statistics (the last two not in the report)."""
+
+    stats: RepoStats
+    work: WorkCounts
+    collection: RenameSetCollection
+
+
 def build_repo_stats(
     records: list[RenameRecord],
     facts: Mapping[str, CodeFacts] | None = None,
@@ -380,7 +308,7 @@ def build_repo_stats(
     mode: str = "lemma",
     filters: Iterable[IdentifierKind] = tuple(IdentifierKind),
     lemmatizer: Lemmatizer | None = None,
-) -> RepoStats:
+) -> Analysis:
     """Assemble the full report for one record stream.
 
     The records are chunked for both modes in one pass of
@@ -400,30 +328,28 @@ def build_repo_stats(
     commits = {s.commit for s in coll.sets}
     own = len(commits & detections.facts.keys())
     on_default = len(commits) - own if default is not None else 0
-    return RepoStats(
+    stats = RepoStats(
         mode=mode,
         record_count=len(records),
         set_count=len(coll),
         member_total=coll.member_total(),
-        co_rename_rate=_or_none(co_rename_rate, coll),
-        size_distribution=tuple(_or_none(size_distribution, coll) or ()),
-        relationship_rates=_or_none(_pooled_rates, counted),
-        filtered_rates={
-            kind: _or_none(_pooled_rates, counted, kind) for kind in filters
-        },
-        chunk_type_rates={m: _or_none(_chunk_rates, chunks[m]) for m in MODES},
+        co_rename_rate=co_rename_rate(coll),
+        size_distribution=size_distribution(coll),
+        relationship_rates=_pooled_rates(counted),
+        filtered_rates={kind: _pooled_rates(counted, kind) for kind in filters},
+        chunk_type_rates={m: _chunk_rates(chunks[m]) for m in MODES},
         inflection=_inflection(
             collections, detections, facts is not None or default is not None
         ),
-        work=WorkCounts(
-            pairs=detections.pairs,
-            detections=len(detections.found),
-            own_commits=own,
-            default_commits=on_default,
-            empty_commits=len(commits) - own - on_default,
-        ),
-        collection=coll,
     )
+    work = WorkCounts(
+        pairs=detections.pairs,
+        detections=len(detections.found),
+        own_commits=own,
+        default_commits=on_default,
+        empty_commits=len(commits) - own - on_default,
+    )
+    return Analysis(stats, work, coll)
 
 
 # --- report emission -------------------------------------------------------
@@ -437,6 +363,13 @@ def _fmt(value) -> str:
     return "NA" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
+def _rate_rows(label: str, mapping) -> list[list]:
+    """The CSV rows of one rate table, by kind; ``(none),NA`` for None."""
+    if mapping is None:
+        return [[label, "(none)", "NA"]]
+    return [[label, k.value, _fmt(mapping[k])] for k in sorted(mapping, key=lambda k: k.value)]
+
+
 def emit_report(stats: RepoStats, out_dir, plots: bool = False) -> list[Path]:
     """Write report.json plus CSV tables (and SVG charts with plots=True).
 
@@ -447,7 +380,7 @@ def emit_report(stats: RepoStats, out_dir, plots: bool = False) -> list[Path]:
     out = Path(out_dir)
     written = []
 
-    payload = json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(stats.to_json(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     written.append(atomic_write(out / "report.json", payload))
 
     summary = [["metric", "value"]]
@@ -465,32 +398,16 @@ def emit_report(stats: RepoStats, out_dir, plots: bool = False) -> list[Path]:
         )
     written.append(atomic_write(out / "size_distribution.csv", _csv(size_rows)))
 
-    rel_rows = [["filter", "relationship", "rate"]]
-
-    def extend_rel(filter_label, mapping):
-        if mapping is None:
-            rel_rows.append([filter_label, "(none)", "NA"])
-            return
-        for kind in sorted(mapping, key=lambda k: k.value):
-            rel_rows.append([filter_label, kind.value, _fmt(mapping[kind])])
-
-    extend_rel("(all)", stats.relationship_rates)
+    rel_rows = [["filter", "relationship", "rate"], *_rate_rows("(all)", stats.relationship_rates)]
     for kind in sorted(stats.filtered_rates, key=lambda k: k.value):
-        extend_rel(kind.value, stats.filtered_rates[kind])
+        rel_rows += _rate_rows(kind.value, stats.filtered_rates[kind])
     if stats.inflection is not None:
-        extend_rel(
-            "inflection_new_sets", stats.inflection.new_set_relationship_rates
-        )
+        rel_rows += _rate_rows("inflection_new_sets", stats.inflection.new_set_relationship_rates)
     written.append(atomic_write(out / "relationship_rates.csv", _csv(rel_rows)))
 
     chunk_rows = [["mode", "chunk", "rate"]]
     for mode in sorted(stats.chunk_type_rates):
-        mapping = stats.chunk_type_rates[mode]
-        if mapping is None:
-            chunk_rows.append([mode, "(none)", "NA"])
-            continue
-        for kind in sorted(mapping, key=lambda k: k.value):
-            chunk_rows.append([mode, kind.value, _fmt(mapping[kind])])
+        chunk_rows += _rate_rows(mode, stats.chunk_type_rates[mode])
     written.append(atomic_write(out / "chunk_type_rates.csv", _csv(chunk_rows)))
 
     inflection_rows = [["metric", "raw", "lemma"]]

@@ -12,6 +12,7 @@ import argparse
 import gc
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +33,17 @@ def _lemmatizer(args):
     return Lemmatizer.from_file(table) if table else None
 
 
+def _finite_float(text: str) -> float:
+    """A numeric flag's value: a float other than NaN or an infinity."""
+    try:
+        value = float(text)
+    except ValueError:  # argparse's own wording for a float flag
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _config_problem(action: argparse.Action, value) -> str | None:
     """Why ``value`` cannot stand for ``action``'s flag, or None if it can.
 
@@ -47,9 +59,11 @@ def _config_problem(action: argparse.Action, value) -> str | None:
             return "must be a list"
         items = value
     for item in items:
-        if action.type is float:
+        if action.type is _finite_float:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 return f"must be a number, not {json.dumps(item)}"
+            if isinstance(item, float) and not math.isfinite(item):
+                return f"must be a finite number, not {json.dumps(item)}"
         elif not isinstance(item, str):
             return f"must be a string, not {json.dumps(item)}"
         if action.choices is not None and item not in action.choices:
@@ -143,8 +157,6 @@ def _cmd_facts(args) -> int:
 
     suffixes = tuple(args.suffix) if args.suffix else (".java",)
     facts = extract_facts_from_dir(args.src, suffixes=suffixes)
-    for file, reason in facts.skipped:
-        print(f"skipped {file}: {reason}", file=sys.stderr)
     facts.save(args.out)
     print(
         f"wrote {len(facts.entities)} entities to {args.out}", file=sys.stderr
@@ -172,7 +184,7 @@ def _cmd_analyze(args) -> int:
         facts = _load_facts_dir(args.facts_dir)
         # default.json: a single-snapshot approximation for commits without facts
         default = facts.pop("default", None)
-    stats = build_repo_stats(
+    stats, work, collection = build_repo_stats(
         records,
         facts,
         default,
@@ -184,9 +196,8 @@ def _cmd_analyze(args) -> int:
     )
     # the sets are derived from the renames; --sets must hold the same ones
     check_rename_sets(
-        read_lines(args.sets), stats.collection, len(records), source=args.sets
+        read_lines(args.sets), collection, len(records), source=args.sets
     )
-    work = stats.work
     if args.facts_dir and work.empty_commits:
         logger.warning(
             "%s: no facts file for %d of %d commits and no default.json; "
@@ -336,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--mode", choices=["raw", "lemma"], default="lemma")
     rec.add_argument("--profile", help="prior profile JSON; default built-in")
-    rec.add_argument("--min-score", type=float)
+    rec.add_argument("--min-score", type=_finite_float)
     rec.add_argument("--format", choices=["text", "json"], default="text")
     rec.add_argument("--lemma-table")
     common(rec)

@@ -36,4 +36,5 @@ class DegenerateResult(CorenameError):
 
 
 class NoDataError(CorenameError):
-    """A statistic was requested over an empty or all-filtered population."""
+    """A result was requested from no data, such as a prior profile from
+    relationship rates that are all empty."""

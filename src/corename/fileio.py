@@ -4,6 +4,7 @@ loaders, report emitters and the CLI."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -99,16 +100,20 @@ def load_document(path, build: Callable, what: str):
 
 
 def json_number(value, name: str):
-    """``value`` if it is a JSON number a float can hold, so not a boolean
-    or a string of digits; TypeError ``<name> is not a number: <value>`` or,
-    for a larger int, OverflowError ``<name> is not a number a float can
-    hold: <value>`` otherwise."""
+    """``value`` if it is a finite JSON number a float can hold, so not a
+    boolean or a string of digits; TypeError ``<name> is not a number:
+    <value>``, for a larger int OverflowError ``<name> is not a number a
+    float can hold: <value>``, and for ``NaN`` or an infinity (``1e400``
+    reads as one) ValueError ``<name> is not a finite number: inf``
+    otherwise."""
     if type(value) not in (int, float):
         raise TypeError(f"{name} is not a number: {value!r}")
     try:
-        float(value)
+        finite = math.isfinite(value)
     except OverflowError:
         raise OverflowError(f"{name} is not a number a float can hold: {value!r}") from None
+    if not finite:
+        raise ValueError(f"{name} is not a finite number: {value!r}")
     return value
 
 

@@ -511,15 +511,42 @@ def build_rename_sets_copying(chunked, mode):
     return RenameSetCollection(sets=sets, mode=mode)
 
 
+def size_distribution_by_rescan(coll):
+    """``analytics.size_distribution`` as it rescanned every cell for each
+    set size, returned a list, and raised NoDataError for no sets at all."""
+    from corename.analytics import SizeRow
+    from corename.errors import NoDataError
+
+    if not coll.sets:
+        raise NoDataError("no rename sets")
+    cells = Counter()
+    for s in coll.sets:
+        if len(s) >= 2:
+            cells[(len(s), s.unique_old_names())] += len(s)
+    denominator = sum(cells.values())
+    members_by_size = Counter()
+    for (n, _m), members in cells.items():
+        members_by_size[n] += members
+    rows = []
+    running = 0
+    for n in sorted(members_by_size):
+        running += members_by_size[n]
+        for m in sorted(m for (size, m) in cells if size == n):
+            rows.append(
+                SizeRow(
+                    set_size=n,
+                    unique_names=m,
+                    members=cells[(n, m)],
+                    cumulative_rate=running / denominator,
+                )
+            )
+    return rows
+
+
 def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=None):
     """``build_repo_stats`` as one relationship-rate pass per filter, one
     for the inflection-new sets, and two chunking passes per mode."""
-    from corename.analytics import (
-        InflectionImpact,
-        RepoStats,
-        co_rename_rate,
-        size_distribution,
-    )
+    from corename.analytics import InflectionImpact, RepoStats, co_rename_rate
     from corename.errors import NoDataError
     from corename.facts import CodeFacts
     from corename.facts.relations import detect_relationships
@@ -590,8 +617,8 @@ def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=No
         record_count=len(records),
         set_count=len(coll),
         member_total=coll.member_total(),
-        co_rename_rate=or_none(co_rename_rate, coll),
-        size_distribution=tuple(or_none(size_distribution, coll) or ()),
+        co_rename_rate=co_rename_rate(coll),
+        size_distribution=tuple(or_none(size_distribution_by_rescan, coll) or ()),
         relationship_rates=or_none(relationship_rates, coll),
         filtered_rates={
             kind: or_none(relationship_rates, coll, kind)
@@ -599,8 +626,8 @@ def repo_stats_per_filter(records, coll, facts=None, filters=None, lemmatizer=No
         },
         chunk_type_rates={mode: or_none(chunk_type_rates, mode) for mode in ("raw", "lemma")},
         inflection=InflectionImpact(
-            raw_co_rename_rate=or_none(co_rename_rate, raw_coll),
-            lemma_co_rename_rate=or_none(co_rename_rate, lemma_coll),
+            raw_co_rename_rate=co_rename_rate(raw_coll),
+            lemma_co_rename_rate=co_rename_rate(lemma_coll),
             raw_set_count=len(raw_coll),
             lemma_set_count=len(lemma_coll),
             raw_member_total=raw_coll.member_total(),

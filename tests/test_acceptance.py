@@ -258,7 +258,7 @@ def test_synthetic_corpus():
         (3, 3, 6, 1.0),
     ]
 
-    stats = build_repo_stats(records, facts)
+    stats = build_repo_stats(records, facts).stats
     assert stats.relationship_rates == {
         RelationshipKind.ACCESSES: 1 / 11,
         RelationshipKind.ASSIGNS: 2 / 11,
@@ -338,7 +338,7 @@ def test_inflection_merge():
             """
         }
     )
-    impact = build_repo_stats(records, default=facts).inflection
+    impact = build_repo_stats(records, default=facts).stats.inflection
     assert impact.new_set_count == len(difference)
     assert RelationshipKind.TYPE_V in impact.new_set_relationship_rates
 

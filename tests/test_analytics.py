@@ -1,11 +1,15 @@
 """Tests for the statistics layer, pinned to the hand-counted corpus."""
 
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import repo_stats_per_filter
+from _oracles import repo_stats_per_filter, size_distribution_by_rescan
 from corename.analytics import (
+    InflectionImpact,
+    RepoStats,
     SizeRow,
     build_repo_stats,
     co_rename_rate,
@@ -61,7 +65,7 @@ def corpus_lemma(corpus_records):
 
 @pytest.fixture(scope="module")
 def corpus_stats(corpus_records, corpus_facts):
-    return build_repo_stats(corpus_records, corpus_facts)
+    return build_repo_stats(corpus_records, corpus_facts).stats
 
 
 class TestCoRenameRate:
@@ -80,9 +84,8 @@ class TestCoRenameRate:
         coll = collection([("c1", "aValue", "aResult"), ("c2", "bDelta", "bGamma")])
         assert co_rename_rate(coll) == 0.0
 
-    def test_empty_raises(self):
-        with pytest.raises(NoDataError):
-            co_rename_rate(collection([]))
+    def test_empty_is_none(self):
+        assert co_rename_rate(collection([])) is None
 
     def test_corpus(self, corpus_lemma):
         assert co_rename_rate(corpus_lemma) == 23 / 34
@@ -91,7 +94,7 @@ class TestCoRenameRate:
 class TestSizeDistribution:
     def test_single_pair(self):
         coll = collection([("c1", "aValue", "aResult"), ("c1", "bValue", "bResult")])
-        assert size_distribution(coll) == [SizeRow(2, 2, 2, 1.0)]
+        assert size_distribution(coll) == (SizeRow(2, 2, 2, 1.0),)
 
     def test_shared_old_name(self):
         coll = collection(
@@ -101,15 +104,47 @@ class TestSizeDistribution:
                 ("c1", "bValue", "bResult"),
             ]
         )
-        assert size_distribution(coll) == [SizeRow(3, 2, 3, 1.0)]
+        assert size_distribution(coll) == (SizeRow(3, 2, 3, 1.0),)
 
     def test_corpus(self, corpus_lemma):
-        assert size_distribution(corpus_lemma) == [
+        assert size_distribution(corpus_lemma) == (
             SizeRow(2, 1, 2, 14 / 23),
             SizeRow(2, 2, 12, 14 / 23),
             SizeRow(3, 2, 3, 1.0),
             SizeRow(3, 3, 6, 1.0),
-        ]
+        )
+
+    @pytest.mark.parametrize(
+        "specs", [[], [("c1", "aValue", "aResult"), ("c2", "bValue", "bResult")]],
+        ids=["no-sets", "singletons"],
+    )
+    def test_no_co_renaming_sets(self, specs):
+        assert size_distribution(collection(specs)) == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["c1", "c2", "c3"]),
+                st.sampled_from(["", "a", "b", "get", "set"]),
+                st.sampled_from([("Value", "Result"), ("Node", "Item"), ("Nodes", "Items")]),
+            ),
+            max_size=30,
+        ),
+        st.sampled_from(["raw", "lemma"]),
+    )
+    def test_same_rows_as_replaced(self, specs, mode):
+        # the per-size rescan of the cells that the running total replaced
+        coll = collection(
+            [(c, p + old if p else old.lower(), p + new if p else new.lower())
+             for c, p, (old, new) in specs],
+            mode,
+        )
+        try:
+            expected = tuple(size_distribution_by_rescan(coll))
+        except NoDataError:  # it raised where there are no sets
+            expected = ()
+        assert size_distribution(coll) == expected
 
 
 class TestRelationshipRates:
@@ -124,7 +159,7 @@ class TestRelationshipRates:
                 ("c1", "getDisabledMetricTypes", "getDisabledMetricAttributes"),
             ]
         )
-        rates = build_repo_stats(records, default=facts).relationship_rates
+        rates = build_repo_stats(records, default=facts).stats.relationship_rates
         assert rates == {
             RelationshipKind.TYPE_M: 0.5,
             RelationshipKind.TYPE_V: 0.5,
@@ -134,7 +169,7 @@ class TestRelationshipRates:
     def test_filter_without_renames_raises(self):
         # no data for a filter is reported as None, never as a silent zero
         records = records_of([("c1", "aValue", "aResult"), ("c1", "bValue", "bResult")])
-        stats = build_repo_stats(records, {}, filters=(IdentifierKind.METHOD,))
+        stats = build_repo_stats(records, {}, filters=(IdentifierKind.METHOD,)).stats
         assert stats.filtered_rates == {IdentifierKind.METHOD: None}
 
     def test_corpus_overall(self, corpus_stats):
@@ -199,8 +234,8 @@ class TestRelationshipRates:
 
     def test_workers_do_not_change_result(self, corpus_records, corpus_facts):
         # two plain runs agree exactly, dict order included
-        first = build_repo_stats(corpus_records, corpus_facts).relationship_rates
-        second = build_repo_stats(corpus_records, corpus_facts).relationship_rates
+        first = build_repo_stats(corpus_records, corpus_facts).stats.relationship_rates
+        second = build_repo_stats(corpus_records, corpus_facts).stats.relationship_rates
         assert list(first.items()) == list(second.items())
 
     def test_rate_maps_sum_to_one(self, corpus_stats):
@@ -211,12 +246,12 @@ class TestRelationshipRates:
 
 class TestChunkTypeRates:
     def test_single_inflection(self):
-        rates = build_repo_stats([record("c1", "node", "nodes", index=0)]).chunk_type_rates
+        rates = build_repo_stats([record("c1", "node", "nodes", index=0)]).stats.chunk_type_rates
         assert rates["raw"] == {ChunkKind.REPLACE: 1.0}
         assert rates["lemma"] == {ChunkKind.INFLECT: 1.0}
 
     def test_case_change(self):
-        rates = build_repo_stats([record("c1", "TIMES", "times", index=0)]).chunk_type_rates
+        rates = build_repo_stats([record("c1", "TIMES", "times", index=0)]).stats.chunk_type_rates
         assert rates["lemma"] == {ChunkKind.OTHER: 1.0}
         assert rates["raw"] is None
 
@@ -238,7 +273,7 @@ class TestChunkTypeRates:
 class TestInflectionImpact:
     def test_no_inflection_corpus(self):
         specs = [("c1", "aValue", "aResult"), ("c1", "bValue", "bResult")]
-        impact = build_repo_stats(records_of(specs)).inflection
+        impact = build_repo_stats(records_of(specs)).stats.inflection
         assert impact.raw_co_rename_rate == impact.lemma_co_rename_rate
         assert impact.new_set_count == 0
 
@@ -249,7 +284,7 @@ class TestInflectionImpact:
             record("c1", "getNode", "getItem", index=0 if indexed else None),
             record("c1", "node", "item", index=1 if indexed else None),
         ]
-        impact = build_repo_stats(records).inflection
+        impact = build_repo_stats(records).stats.inflection
         assert impact.lemma_set_count == impact.raw_set_count == 1
         assert impact.new_set_count == 0
 
@@ -267,7 +302,7 @@ class TestInflectionImpact:
                 """
             }
         )
-        impact = build_repo_stats(records, default=facts).inflection
+        impact = build_repo_stats(records, default=facts).stats.inflection
         assert impact.new_set_count == 1
         assert RelationshipKind.TYPE_V in impact.new_set_relationship_rates
 
@@ -286,8 +321,8 @@ class TestInflectionImpact:
         }
 
     def test_two_pass_symmetry(self, corpus_records, corpus_facts):
-        first = build_repo_stats(corpus_records, corpus_facts).inflection
-        second = build_repo_stats(list(reversed(corpus_records)), corpus_facts).inflection
+        first = build_repo_stats(corpus_records, corpus_facts).stats.inflection
+        second = build_repo_stats(list(reversed(corpus_records)), corpus_facts).stats.inflection
         assert first.raw_co_rename_rate == second.raw_co_rename_rate
         assert first.lemma_co_rename_rate == second.lemma_co_rename_rate
         assert first.new_set_count == second.new_set_count
@@ -295,7 +330,7 @@ class TestInflectionImpact:
 
 class TestReports:
     def build(self, corpus_records, corpus_facts):
-        return build_repo_stats(corpus_records, corpus_facts)
+        return build_repo_stats(corpus_records, corpus_facts).stats
 
     def test_round_trip(self, corpus_records, corpus_facts, tmp_path):
         stats = self.build(corpus_records, corpus_facts)
@@ -337,10 +372,23 @@ class TestReports:
         ]
 
     def test_work_counts_not_reported(self, corpus_records, corpus_facts, tmp_path):
-        stats = self.build(corpus_records, corpus_facts)
-        assert stats.work.detections <= stats.work.pairs
-        emit_report(stats, tmp_path)
+        analysis = build_repo_stats(corpus_records, corpus_facts)
+        assert analysis.work.detections <= analysis.work.pairs
+        emit_report(analysis.stats, tmp_path)
         assert "work" not in (tmp_path / "report.json").read_text()
+
+    def test_fields_are_the_report_keys(self, corpus_stats, tmp_path):
+        emit_report(corpus_stats, tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert sorted(RepoStats._fields) == list(data)
+        assert sorted(InflectionImpact._fields) == list(data["inflection"])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_not_written(self, corpus_stats, tmp_path, value):
+        stats = corpus_stats._replace(co_rename_rate=value)
+        with pytest.raises(ValueError):
+            emit_report(stats, tmp_path)
+        assert not (tmp_path / "report.json").exists()
 
     def test_commits_counted_by_their_facts(self, corpus_records, corpus_facts):
         commits = {s.commit for s in build_repo_stats(corpus_records).collection.sets}
@@ -360,7 +408,7 @@ class TestReports:
 
     def test_no_data_serialized_as_null(self, tmp_path):
         records = [record("c1", "aValue", "aResult", index=0)]
-        stats = build_repo_stats(records, facts=None)
+        stats = build_repo_stats(records, facts=None).stats
         assert stats.relationship_rates is None
         emit_report(stats, tmp_path)
         text = (tmp_path / "report.json").read_text()
@@ -383,17 +431,17 @@ class TestOnePassMatchesPerFilterPath:
         }[facts_kind]
         coll = sets_of(corpus_records, mode)
         if facts_kind == "single":
-            stats = build_repo_stats(corpus_records, default=facts, mode=mode)
+            analysis = build_repo_stats(corpus_records, default=facts, mode=mode)
         else:
-            stats = build_repo_stats(corpus_records, facts, mode=mode)
+            analysis = build_repo_stats(corpus_records, facts, mode=mode)
         expected = repo_stats_per_filter(corpus_records, coll, facts)
-        assert stats == expected
-        assert stats.to_json() == expected.to_json()
-        assert stats.collection == coll
+        assert analysis.stats == expected
+        assert analysis.stats.to_json() == expected.to_json()
+        assert analysis.collection == coll
 
     def test_filter_subset(self, corpus_records, corpus_facts, corpus_lemma):
         filters = (IdentifierKind.METHOD, IdentifierKind.CLASS)
-        stats = build_repo_stats(corpus_records, corpus_facts, filters=filters)
+        stats = build_repo_stats(corpus_records, corpus_facts, filters=filters).stats
         expected = repo_stats_per_filter(
             corpus_records, corpus_lemma, corpus_facts, filters
         )
@@ -413,9 +461,9 @@ class TestOnePassMatchesPerFilterPath:
             "c2": extract_facts({"A.java": "class A { int itemCount; int itemSize; }"}),
         }
         coll = sets_of(records, "lemma")
-        stats = build_repo_stats(records, facts)
-        assert stats == repo_stats_per_filter(records, coll, facts)
-        assert stats.work.detections == 2
+        analysis = build_repo_stats(records, facts)
+        assert analysis.stats == repo_stats_per_filter(records, coll, facts)
+        assert analysis.work.detections == 2
 
     def test_no_record_built_after_loading(
         self, corpus_records, corpus_facts, monkeypatch
@@ -429,9 +477,9 @@ class TestOnePassMatchesPerFilterPath:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(RenameRecord, "__init__", counting)
-        stats = build_repo_stats(corpus_records, corpus_facts)
+        analysis = build_repo_stats(corpus_records, corpus_facts)
         assert built == []
-        members = {id(m) for s in stats.collection.sets for m in s.members}
+        members = {id(m) for s in analysis.collection.sets for m in s.members}
         assert members <= {id(r) for r in corpus_records}
 
     def test_each_pair_detected_once(self, corpus_records, corpus_facts, monkeypatch):
@@ -445,6 +493,6 @@ class TestOnePassMatchesPerFilterPath:
             return detect(facts, a, b)
 
         monkeypatch.setattr(analytics, "detect_relationships", counting)
-        stats = build_repo_stats(corpus_records, corpus_facts)
-        assert len(calls) == len(set(calls)) == stats.work.detections
-        assert stats.work.pairs >= stats.work.detections
+        work = build_repo_stats(corpus_records, corpus_facts).work
+        assert len(calls) == len(set(calls)) == work.detections
+        assert work.pairs >= work.detections

@@ -411,6 +411,24 @@ class TestSkipWarnings:
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "skipping rename" in line] == [self.WARNING]
 
+    def test_one_prefixed_warning_per_skipped_source(self, tmp_path, capsys):
+        # nesting deeper than the recursion limit makes the parser skip the file
+        depth = sys.getrecursionlimit()
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "Deep.java").write_text(
+            "class Deep { int width; void m(int size) { m(width); } "
+            + "class C { " * depth + "}" * depth + " }"
+        )
+        (src / "Plain.java").write_text("class Plain { int height; }")
+        out = tmp_path / "facts.json"
+        assert run(["facts", "--src", str(src), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        named = [line for line in err if "Deep.java" in line]
+        assert len(named) == 1
+        assert named[0].startswith("corename: warning: skipping Deep.java: ")
+        assert [row[0] for row in json.loads(out.read_text())["skipped"]] == ["Deep.java"]
+
     def test_handler_removed_after_run(self, tmp_path):
         import logging
 
@@ -465,6 +483,15 @@ class TestRecommendCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(c["target"] != "GMetricType" for c in payload)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_min_score_not_finite(self, capsys, value):
+        argv = ["recommend", "--src", str(FIG1), "--old", "MetricType",
+                "--new", "MetricAttribute", "--kind", "Class", f"--min-score={value}"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --min-score: not a finite number: {value!r}" in captured.err
 
     def test_profile_file(self, tmp_path, capsys):
         profile = {
@@ -844,12 +871,30 @@ class TestMalformedInputs:
                 lambda report: {**report, "co_rename_rate": "0.5"},
                 "co_rename_rate is not a number: '0.5'",
             ),
+            (
+                lambda report: {
+                    **report, "relationship_rates": {"Extends": float("inf"), "Passes": 1.0}
+                },
+                "relationship_rates.Extends is not a finite number: inf",
+            ),
+            (
+                lambda report: {**report, "size_distribution": [[2, 1, 2, float("nan")]]},
+                "size_distribution[0][3] is not a finite number: nan",
+            ),
+            (
+                lambda report: {
+                    **report,
+                    "inflection": {**report["inflection"], "raw_co_rename_rate": -float("inf")},
+                },
+                "inflection.raw_co_rename_rate is not a finite number: -inf",
+            ),
         ],
         ids=["empty", "list", "rate", "huge-rate", "size-row-rate", "short-size-row",
              "filtered-list", "chunk-kind", "count-string", "chunk-rate-list", "mode",
              "size-row-size", "empty-list", "sizes-number", "one-cell-size-row",
              "rates-list", "inflection-list", "inflection-count", "second-size-row-rate",
-             "filtered-rate", "rate-digits"],
+             "filtered-rate", "rate-digits", "infinite-rate", "nan-size-row-rate",
+             "infinite-inflection-rate"],
     )
     def test_report_shape(self, tmp_path, facts_dir, capsys, change, problem):
         report = json.loads((analyze(tmp_path, facts_dir, "report") / "report.json").read_text())
@@ -861,6 +906,26 @@ class TestMalformedInputs:
         assert f"corename: error: {bad}: not a report: {problem}\n" in err
         assert "Traceback" not in err
         assert not any(internal in err for internal in self.PYTHON_INTERNALS), err
+
+    @pytest.mark.parametrize("flag", ["--stats", "--profile"])
+    def test_float_literal_out_of_range(self, tmp_path, facts_dir, capsys, flag):
+        # JSON reads 1e400 as an infinity, which no report or profile may hold
+        bad = tmp_path / "bad.json"
+        if flag == "--stats":
+            out = analyze(tmp_path, facts_dir, "report")
+            report = json.loads((out / "report.json").read_text())
+            report["relationship_rates"] = {"Extends": "1e400"}
+            bad.write_text(json.dumps(report).replace('"1e400"', "1e400"))
+            argv = ["report", "--stats", str(bad), "--out", str(tmp_path / "again")]
+            problem = "not a report: relationship_rates.Extends is not a finite number: inf"
+        else:
+            bad.write_text('{"weights": {"Class": {"TypeV": 1e400}}}')
+            argv = ["recommend", "--src", str(FIG1), "--old", "MetricType",
+                    "--new", "MetricAttribute", "--kind", "Class", "--profile", str(bad)]
+            problem = "not a prior profile: weights.Class.TypeV is not a finite number: inf"
+        assert run(argv) == 2
+        assert f"corename: error: {bad}: {problem}\n" in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
 
     @pytest.mark.parametrize(
         "profile, problem",
@@ -890,10 +955,16 @@ class TestMalformedInputs:
                 {"weights": {"Method": {"TypeV": "x"}}},
                 "weights.Method.TypeV is not a number: 'x'",
             ),
+            (
+                {"weights": {"Class": {"TypeV": float("nan")}}},
+                "weights.Class.TypeV is not a finite number: nan",
+            ),
+            ({"default_weight": float("inf")}, "default_weight is not a finite number: inf"),
         ],
         ids=["weight-string", "list", "table-list", "trigger", "kind", "default-null",
              "huge-weight", "weight-true", "weight-digits", "default-digits",
-             "weights-list", "empty-table-list", "method-weight-string"],
+             "weights-list", "empty-table-list", "method-weight-string", "nan-weight",
+             "infinite-default"],
     )
     def test_profile_shape(self, tmp_path, capsys, profile, problem):
         bad = tmp_path / "bad.json"
@@ -928,6 +999,8 @@ class TestMalformedInputs:
             ("analyze", {"filter": "Method"}, "must be a list"),
             ("analyze", {"plots": "no"}, "must be true or false"),
             ("recommend", {"min_score": "x"}, 'must be a number, not "x"'),
+            ("recommend", {"min_score": float("nan")}, "must be a finite number, not NaN"),
+            ("recommend", {"min_score": float("-inf")}, "must be a finite number, not -Infinity"),
         ],
     )
     def test_config_value_types(self, tmp_path, capsys, command, settings, problem):

@@ -1,5 +1,5 @@
-"""The package's value types: immutable named tuples, plus ``CodeFacts`` and
-``RepoStats``, which keep an equality of their own."""
+"""The package's value types: immutable named tuples, plus ``CodeFacts``,
+which keeps an equality of its own."""
 
 from pathlib import Path
 
@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corename.analytics import (
+    Analysis,
     InflectionImpact,
+    RepoStats,
     SizeRow,
     WorkCounts,
     build_repo_stats,
@@ -35,7 +37,8 @@ def _values():
     """One instance of each value type, with the name of a field."""
     records = load_rename_records_file(FIXTURES / "corpus" / "renames.jsonl")
     coll = build_rename_sets(records, chunk_by_mode(records, ("lemma",))["lemma"], "lemma")
-    stats = build_repo_stats(records)
+    analysis = build_repo_stats(records)
+    stats = analysis.stats
     seq = split_identifier("getDisabledMetricTypes")
     values = [
         (records[0], "old_name"),
@@ -47,8 +50,9 @@ def _values():
         (coll, "mode"),
         (stats.size_distribution[0], "members"),
         (stats.inflection, "new_set_count"),
-        (stats.work, "pairs"),
+        (analysis.work, "pairs"),
         (stats, "set_count"),
+        (analysis, "collection"),
         (Entity(0, EntityKind.CLASS, "A", None, "A.java"), "name"),
         (relationship_table()[0], "description"),
         (PriorProfile(weights={}), "default_weight"),
@@ -108,6 +112,12 @@ def test_iterating_yields_the_fields():
         "pairs", "detections", "own_commits", "default_commits", "empty_commits",
     )
     assert InflectionImpact._fields[-1] == "new_set_relationship_rates"
+    analysis = build_repo_stats([_record(index=0)])
+    assert Analysis._fields == ("stats", "work", "collection")
+    assert analysis._asdict() == {
+        "stats": analysis.stats, "work": analysis.work, "collection": analysis.collection,
+    }
+    assert analysis.stats._asdict()["record_count"] == 1 and RepoStats._fields[0] == "mode"
 
 
 _NAMES = st.lists(
@@ -176,11 +186,11 @@ def test_loaded_facts_equal_extracted_with_or_without_index(tmp_path):
     assert facts != facts.to_json()
 
 
-def test_report_equality_ignores_work_and_collection(tmp_path):
+def test_loaded_report_equals_the_analysis_stats(tmp_path):
     records = load_rename_records_file(FIXTURES / "corpus" / "renames.jsonl")
-    stats = build_repo_stats(records)
-    emit_report(stats, tmp_path)
+    analysis = build_repo_stats(records)
+    emit_report(analysis.stats, tmp_path)
     loaded = load_report(tmp_path / "report.json")
-    assert (loaded.work, loaded.collection) == (None, None)
-    assert loaded == stats and not loaded != stats
-    assert build_repo_stats(records, mode="raw") != stats
+    assert not {"work", "collection"} & set(loaded._fields)
+    assert loaded == analysis.stats and not loaded != analysis.stats
+    assert build_repo_stats(records, mode="raw").stats != analysis.stats
