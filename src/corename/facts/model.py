@@ -7,10 +7,13 @@ from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import NoneType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import ParseError
 from ..fileio import atomic_write, load_document
+
+if TYPE_CHECKING:  # the word layer, which the fact model never runs
+    from ..lexicon import WordSequence
 
 
 class EntityKind(str, enum.Enum):
@@ -392,6 +395,7 @@ class FactsIndex:
                 if p.name in classes:
                     self.repeated_methods.add(c.name)
                 classes.add(p.name)
-        # (mode, lemmatizer) -> lemma -> entity names holding it; filled by
-        # the recommender on its first query, never here
-        self.names_by_lemma: dict[tuple, dict[str, list[str]]] = {}
+        # (mode, lemmatizer) -> lemma -> each entity name holding it -> the
+        # name's word sequence in that mode; filled by the recommender on its
+        # first query, never here, and read by every query after it
+        self.names_by_lemma: dict[tuple, dict[str, dict[str, WordSequence]]] = {}

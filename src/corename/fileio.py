@@ -41,25 +41,31 @@ def read_lines(path) -> Iterator[str]:
 
 def load_json(path):
     """The JSON value in an input file; invalid JSON raises ParseError
-    naming the file and line, as ``read_text`` does for bytes."""
+    naming the file and line, as ``read_text`` does for bytes, and JSON
+    nested deeper than the decoder can recurse ``invalid JSON: nested too
+    deeply`` naming the file."""
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, source=path
         ) from None
+    except RecursionError:
+        raise ParseError(_TOO_DEEP, source=path) from None
 
 
 _raw_decode = json.JSONDecoder().raw_decode
 _BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig)"  # json.loads's message
+_TOO_DEEP = "invalid JSON: nested too deeply"
 
 
 def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
     """The 1-based number and the JSON object of each non-blank line.  A line
     of invalid JSON, of a value that is not an object, or of an object
     without all of ``keys`` raises ParseError naming ``source`` and the line:
-    ``invalid JSON: ...``, ``<what> is not an object`` or ``missing keys:
-    a, b``.  The values are left to the caller's field rules."""
+    ``invalid JSON: ...`` (``invalid JSON: nested too deeply`` for nesting
+    deeper than the decoder can recurse), ``<what> is not an object`` or
+    ``missing keys: a, b``.  The values are left to the caller's field rules."""
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -71,6 +77,8 @@ def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
         except json.JSONDecodeError as exc:
             message = _BOM if line[0] == "\ufeff" else exc.msg
             raise ParseError(f"invalid JSON: {message}", line=number, source=source) from None
+        except RecursionError:
+            raise ParseError(_TOO_DEEP, line=number, source=source) from None
         if end != len(line):
             raise ParseError("invalid JSON: Extra data", line=number, source=source)
         if not isinstance(obj, dict):

@@ -19,7 +19,7 @@ from .errors import DegenerateResult, InvalidIdentifier, NoDataError
 from .facts.model import CodeFacts, EntityKind, RelationshipKind
 from .facts.relations import detect_relationships
 from .fileio import atomic_write, json_container, json_number, load_document
-from .lexicon import Lemmatizer, Vocabulary, normalize
+from .lexicon import Lemmatizer, Vocabulary, WordSequence
 from .mining import IdentifierKind, RenameRecord
 
 # Tie-break order across entity kinds for equal scores.
@@ -144,11 +144,11 @@ class RecommendationCandidate(NamedTuple):
 
 def _names_by_lemma(
     facts: CodeFacts, mode: str, lemmatizer: Lemmatizer | None
-) -> dict[str, list[str]]:
-    """Lemma -> the snapshot's distinct entity names holding it, built on
-    the first query per (mode, lemmatizer) and kept on the facts' index.
-    The names are split through one ``Vocabulary``, so each distinct word
-    is lemmatized once per build."""
+) -> dict[str, dict[str, WordSequence]]:
+    """Lemma -> the snapshot's distinct entity names holding it, each with
+    its word sequence, built on the first query per (mode, lemmatizer) and
+    kept on the facts' index.  The names are split through one
+    ``Vocabulary``, so each distinct word is lemmatized once per build."""
     index = facts.index
     key = (mode, lemmatizer)
     table = index.names_by_lemma.get(key)
@@ -157,11 +157,11 @@ def _names_by_lemma(
         vocabulary = Vocabulary(lemmatizer)
         for name in index.by_name:
             try:
-                lemmas = vocabulary.normalize(name, mode).lemmas
+                seq = vocabulary.normalize(name, mode)
             except InvalidIdentifier:
                 continue
-            for lemma in dict.fromkeys(lemmas):
-                table.setdefault(lemma, []).append(name)
+            for lemma in dict.fromkeys(seq.lemmas):
+                table.setdefault(lemma, {})[name] = seq
         index.names_by_lemma[key] = table
     return table
 
@@ -174,56 +174,71 @@ def generate_candidates(
 ) -> list[RecommendationCandidate]:
     """Apply the rename's chunks to every other named entity.
 
-    A candidate is produced per entity and distinct rewritten name; its
-    relationships to the renamed identifier are detected once per entity.
-    Entities whose names none of the chunks can rewrite are omitted, as is
-    the renamed identifier itself.  Only entities whose names hold a
-    chunk's anchor lemma are visited, in entity-id order.
+    A candidate is produced per entity and distinct rewritten name, in
+    entity-id order.  Only names holding a chunk's anchor lemma are
+    rewritten, each once with its word sequence from the index; its
+    relationships to the renamed identifier are detected once per name.
+    Names none of the chunks can rewrite are omitted, as is the renamed
+    identifier itself.
+
+    Same-named entities, here an attribute in each of two classes, each get
+    their own candidates:
+
+    >>> from corename.facts import extract_facts
+    >>> from corename.grouping import attach_chunks
+    >>> from corename.mining import IdentifierKind
+    >>> facts = extract_facts({"A.java": "class A { int metricType; }"
+    ...                                  " class B { int metricType; }"})
+    >>> record = RenameRecord("c", IdentifierKind.CLASS, "MetricType", "MetricKind")
+    >>> [rename] = attach_chunks([record], "lemma")
+    >>> for c in generate_candidates(rename, facts):
+    ...     print(c.container, c.target_name, "->", c.proposed_name)
+    A metricType -> metricKind
+    B metricType -> metricKind
     """
     table = _names_by_lemma(facts, mode, lemmatizer)
-    names = {
-        name
-        for lemma in {anchor_lemma(chunk) for chunk in rename.chunks}
-        for name in table.get(lemma, ())
-    }
-    names.discard(rename.old_name)
-    by_name = facts.index.by_name
-    entities = sorted(
-        (entity for name in names for entity in by_name[name]),
-        key=lambda entity: entity.id,
-    )
-    targets = {name: normalize(name, mode, lemmatizer) for name in names}
-    candidates: dict[tuple[int, str], RecommendationCandidate] = {}
-    relationships_cache: dict[str, frozenset[RelationshipKind]] = {}
-    for entity in entities:
-        target = targets[entity.name]
+    targets: dict[str, WordSequence] = {}
+    for lemma in {anchor_lemma(chunk) for chunk in rename.chunks}:
+        targets.update(table.get(lemma, {}))
+    targets.pop(rename.old_name, None)
+    rewrites: dict[str, tuple[list[str], frozenset[RelationshipKind]]] = {}
+    for name, target in targets.items():
         proposals: list[str] = []
         for chunk in rename.chunks:
             try:
                 proposals.extend(apply_chunk(chunk, target))
             except DegenerateResult:
                 continue
-        for proposed in proposals:
-            key = (entity.id, proposed)
-            if key in candidates:
-                continue
-            if entity.name not in relationships_cache:
-                relationships_cache[entity.name] = frozenset(
-                    detect_relationships(facts, rename.old_name, entity.name)
-                )
-            candidates[key] = RecommendationCandidate(
+        if proposals:
+            rewrites[name] = (
+                list(dict.fromkeys(proposals)),
+                frozenset(detect_relationships(facts, rename.old_name, name)),
+            )
+    by_name = facts.index.by_name
+    entities = sorted(
+        (entity for name in rewrites for entity in by_name[name]),
+        key=lambda entity: entity.id,
+    )
+    candidates = []
+    for entity in entities:
+        proposals, relationships = rewrites[entity.name]
+        container = (
+            facts.qualified_path(facts.entities[entity.container])
+            if entity.container is not None
+            else None
+        )
+        candidates.extend(
+            RecommendationCandidate(
                 target_name=entity.name,
                 target_kind=entity.kind,
                 file=entity.file,
-                container=(
-                    facts.qualified_path(facts.entities[entity.container])
-                    if entity.container is not None
-                    else None
-                ),
+                container=container,
                 proposed_name=proposed,
-                relationships=relationships_cache[entity.name],
+                relationships=relationships,
             )
-    return list(candidates.values())
+            for proposed in proposals
+        )
+    return candidates
 
 
 def score_candidate(

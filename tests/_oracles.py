@@ -966,6 +966,82 @@ def generate_candidates_scan(rename, facts, mode="lemma", lemmatizer=None):
     return list(candidates.values())
 
 
+def generate_candidates_per_entity(rename, facts, mode="lemma", lemmatizer=None):
+    """``recommend.generate_candidates`` normalizing each target name again
+    on every query and applying the chunks once per entity.  Unchanged apart
+    from its name, its imports and its type annotations, and from building
+    its lemma table on every call: the index now keeps the one
+    ``recommend._names_by_lemma`` builds under the same key."""
+    from corename.chunks import anchor_lemma, apply_chunk
+    from corename.errors import DegenerateResult
+    from corename.facts.relations import detect_relationships
+    from corename.lexicon import normalize
+    from corename.recommend import RecommendationCandidate
+
+    table = _names_by_lemma_per_entity(facts, mode, lemmatizer)
+    names = {
+        name
+        for lemma in {anchor_lemma(chunk) for chunk in rename.chunks}
+        for name in table.get(lemma, ())
+    }
+    names.discard(rename.old_name)
+    by_name = facts.index.by_name
+    entities = sorted(
+        (entity for name in names for entity in by_name[name]),
+        key=lambda entity: entity.id,
+    )
+    targets = {name: normalize(name, mode, lemmatizer) for name in names}
+    candidates = {}
+    relationships_cache = {}
+    for entity in entities:
+        target = targets[entity.name]
+        proposals = []
+        for chunk in rename.chunks:
+            try:
+                proposals.extend(apply_chunk(chunk, target))
+            except DegenerateResult:
+                continue
+        for proposed in proposals:
+            key = (entity.id, proposed)
+            if key in candidates:
+                continue
+            if entity.name not in relationships_cache:
+                relationships_cache[entity.name] = frozenset(
+                    detect_relationships(facts, rename.old_name, entity.name)
+                )
+            candidates[key] = RecommendationCandidate(
+                target_name=entity.name,
+                target_kind=entity.kind,
+                file=entity.file,
+                container=(
+                    facts.qualified_path(facts.entities[entity.container])
+                    if entity.container is not None
+                    else None
+                ),
+                proposed_name=proposed,
+                relationships=relationships_cache[entity.name],
+            )
+    return list(candidates.values())
+
+
+def _names_by_lemma_per_entity(facts, mode, lemmatizer):
+    """Lemma -> the snapshot's distinct entity names holding it, as the
+    index kept it for ``generate_candidates_per_entity``."""
+    from corename.errors import InvalidIdentifier
+    from corename.lexicon import Vocabulary
+
+    table = {}
+    vocabulary = Vocabulary(lemmatizer)
+    for name in facts.index.by_name:
+        try:
+            lemmas = vocabulary.normalize(name, mode).lemmas
+        except InvalidIdentifier:
+            continue
+        for lemma in dict.fromkeys(lemmas):
+            table.setdefault(lemma, []).append(name)
+    return table
+
+
 # --- the fact extractor before its token scans were shared -----------------
 # ``extract_facts_reference`` and the two classes below it are the old
 # ``corename.facts.parser`` internals, unchanged apart from their names and

@@ -1023,6 +1023,37 @@ class TestMalformedInputs:
         assert run([*argv, "--config", str(config)]) == 2
         assert f"{config}: line 1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reader", ["renames", "sets", "facts", "report", "profile", "config"])
+    def test_nested_too_deeply(self, tmp_path, facts_dir, capsys, reader):
+        # deeper than the JSON decoder can recurse; JSON Lines inputs name
+        # the line, whole documents only the file
+        deep = "[" * 200_000 + "]" * 200_000
+        renames, sets = CORPUS / "renames.jsonl", tmp_path / "sets.jsonl"
+        assert run(["group", "--renames", str(renames), "--out", str(sets)]) == 0
+        bad = facts_dir / "c02.json" if reader == "facts" else tmp_path / "bad"
+        lines = {"renames": renames, "sets": sets}
+        if reader in lines:
+            first = lines[reader].read_text().splitlines()[0]
+            bad.write_text(f"{first}\n{deep}\n")
+            problem = f"{bad}: line 2: invalid JSON: nested too deeply"
+        else:
+            bad.write_text(deep)
+            problem = f"{bad}: invalid JSON: nested too deeply"
+        recommend = ["recommend", "--src", str(FIG1), "--old", "MetricType",
+                     "--new", "MetricAttribute", "--kind", "Class"]
+        argv = {
+            "renames": ["group", "--renames", str(bad), "--out", str(tmp_path / "out.jsonl")],
+            "sets": self.analyze_argv(tmp_path, bad),
+            "facts": self.analyze_argv(tmp_path, sets, "--facts-dir", str(facts_dir)),
+            "report": ["report", "--stats", str(bad), "--out", str(tmp_path / "report")],
+            "profile": [*recommend, "--profile", str(bad)],
+            "config": [*recommend, "--config", str(bad)],
+        }[reader]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"corename: error: {problem}\n"
+        assert not (tmp_path / "report").exists()
+
 
 def _garbage_of(argv) -> list:
     """The objects that only the cycle collector could free after

@@ -36,18 +36,37 @@ _json_values = st.recursive(
 )
 
 
-def _mutate_json(draw, value):
-    """``value`` with one node deleted, replaced, or changed further down."""
+# a placeholder value that ``_dumps`` writes as nested arrays
+_DEEP = "\x00deep"
+# around the decoder's recursion limit, and far beyond it
+_depths = st.integers(1, 1_200) | st.just(200_000)
+
+
+def _mutate_json(draw, value, values=_json_values):
+    """``value`` with one node deleted, replaced by one of ``values``, or
+    changed further down."""
     if isinstance(value, (dict, list)) and value and draw(st.integers(0, 3)):
         copy = dict(value) if isinstance(value, dict) else list(value)
         key = draw(st.sampled_from(list(copy) if isinstance(copy, dict) else range(len(copy))))
         action = draw(st.sampled_from(["delete", "replace", "descend"]))
         if action == "delete":
             del copy[key]
+        elif action == "replace":
+            copy[key] = draw(values)
         else:
-            copy[key] = draw(_json_values) if action == "replace" else _mutate_json(draw, copy[key])
+            copy[key] = _mutate_json(draw, copy[key], values)
         return copy
-    return draw(_json_values)
+    return draw(values)
+
+
+def _dumps(draw, value, shape: str) -> str:
+    """The text of ``value`` mutated as JSON ("json"), or with one node
+    replaced by arrays nested to a drawn depth ("nest")."""
+    if shape == "json":
+        return json.dumps(_mutate_json(draw, value))
+    depth = draw(_depths)
+    text = json.dumps(_mutate_json(draw, value, st.just(_DEEP)))
+    return text.replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
 
 
 def _mutate_text(draw, data: bytes) -> bytes:
@@ -63,22 +82,23 @@ def _mutate_text(draw, data: bytes) -> bytes:
 
 @st.composite
 def _mutated(draw, data: bytes, kind: str) -> bytes:
-    """``data`` mutated once or twice, as text or as JSON of ``kind``
-    ("jsonl", "json" or "text")."""
+    """``data`` mutated once or twice, as text, as JSON of ``kind``
+    ("jsonl", "json" or "text"), or by nesting one JSON value deeply."""
     for _ in range(draw(st.integers(1, 2))):
-        if kind == "text" or draw(st.booleans()):
+        shape = "text" if kind == "text" else draw(st.sampled_from(["text", "json", "nest"]))
+        if shape == "text":
             data = _mutate_text(draw, data)
             continue
         try:
             text = data.decode("utf-8")
             if kind == "json":
-                data = json.dumps(_mutate_json(draw, json.loads(text))).encode()
+                data = _dumps(draw, json.loads(text), shape).encode()
             else:
                 lines = text.splitlines()
                 at = draw(st.integers(0, len(lines) - 1))
-                lines[at] = json.dumps(_mutate_json(draw, json.loads(lines[at])))
+                lines[at] = _dumps(draw, json.loads(lines[at]), shape)
                 data = "\n".join(lines).encode() + b"\n"
-        except ValueError:  # an earlier text mutation broke the JSON
+        except (ValueError, RecursionError):  # an earlier mutation broke the JSON
             data = _mutate_text(draw, data)
     return data
 

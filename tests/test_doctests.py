@@ -1,5 +1,5 @@
-"""The ``>>>`` examples in the word, chunk and relationship modules run as
-tests."""
+"""The ``>>>`` examples in the word, chunk, relationship and recommender
+modules run as tests."""
 
 import doctest
 
@@ -8,9 +8,12 @@ import pytest
 import corename.chunks
 import corename.facts.relations
 import corename.lexicon
+import corename.recommend
 
 
-@pytest.mark.parametrize("module", [corename.lexicon, corename.chunks, corename.facts.relations])
+@pytest.mark.parametrize(
+    "module", [corename.lexicon, corename.chunks, corename.facts.relations, corename.recommend]
+)
 def test_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -1,5 +1,6 @@
 """Tests for candidate generation and prior-weighted ranking."""
 
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corename.recommend
-from _oracles import generate_candidates_scan
+from _oracles import generate_candidates_per_entity, generate_candidates_scan
 from corename.chunks import ChunkKind, apply_chunk, chunk_key, diff_chunks
 from corename.errors import DegenerateResult, InvalidIdentifier, NoDataError
 from corename.facts import RelationshipKind, extract_facts, extract_facts_from_dir
 from corename.facts.model import CodeFacts, Entity, EntityKind
 from corename.grouping import attach_chunks
-from corename.lexicon import MODES, Lemmatizer, normalize
+from corename.lexicon import MODES, Lemmatizer, Vocabulary, normalize
 from corename.mining import IdentifierKind, RenameRecord, load_rename_records_file
 from corename.recommend import (
     PriorProfile,
@@ -98,6 +99,34 @@ class TestGenerateCandidates:
         )
         assert by_name["GMetricType"].proposed_name == "GMetricAttribute"
         assert by_name["GMetricType"].relationships == frozenset()
+
+    def test_same_named_entities_each_get_candidates(self):
+        # two overloads in one class, an attribute of the same name in two
+        # classes, and a parameter of the same name in three methods
+        source = """
+        class ItemList {
+            int itemCount;
+            void addItem(int item) { }
+            void addItem(String item) { }
+            void removeItem(int item) { }
+        }
+        class ItemView { int itemCount; }
+        """
+        facts = extract_facts({"I.java": source})
+        rename = trigger("removeItem", "removeElement", IdentifierKind.METHOD)
+        per_name = {}
+        for c in generate_candidates(rename, facts):
+            per_name.setdefault(c.target_name, []).append(c)
+        assert [c.container for c in per_name["itemCount"]] == ["ItemList", "ItemView"]
+        assert [c.container for c in per_name["addItem"]] == ["ItemList", "ItemList"]
+        assert [c.container for c in per_name["item"]] == [
+            "ItemList.addItem", "ItemList.addItem", "ItemList.removeItem"
+        ]
+        for name in ("itemCount", "addItem", "item"):
+            assert len(per_name[name]) == len(facts.index.by_name[name])
+            assert len({(c.proposed_name, c.relationships) for c in per_name[name]}) == 1
+        assert per_name["addItem"][0].proposed_name == "addElement"
+        assert RelationshipKind.CO_OCCURS_M in per_name["addItem"][0].relationships
 
     def test_self_excluded(self, fig_facts):
         cands = generate_candidates(trigger("MetricType", "MetricAttribute"), fig_facts)
@@ -269,14 +298,26 @@ def _triggers(mode, lemmatizer):
 
 
 def _assert_same_as_scan(rename, facts, mode, lemmatizer):
-    """The indexed candidates equal the scan's, order included, and a query
-    on a built index normalizes only the names holding an anchor lemma."""
+    """The indexed candidates equal the scan's and those of the per-entity
+    search it replaced, order included.  A query on a built index splits no
+    name, applies each chunk once to each name holding an anchor lemma, and
+    detects relationships once per name it rewrites."""
     want = generate_candidates_scan(rename, facts, mode, lemmatizer)
+    assert generate_candidates_per_entity(rename, facts, mode, lemmatizer) == want
     assert generate_candidates(rename, facts, mode, lemmatizer) == want
-    with mock.patch.object(corename.recommend, "normalize", wraps=normalize) as spy:
+    split, detect = Vocabulary.split, corename.recommend.detect_relationships
+    with mock.patch.object(Vocabulary, "split", autospec=True, side_effect=split) as splits, \
+            mock.patch.object(corename.recommend, "apply_chunk", wraps=apply_chunk) as applied, \
+            mock.patch.object(corename.recommend, "detect_relationships", wraps=detect) as detected:
         assert generate_candidates(rename, facts, mode, lemmatizer) == want
-    visited = sorted(call.args[0] for call in spy.call_args_list)
-    assert visited == _names_holding_anchor_lemmas(rename, facts, mode, lemmatizer)
+    assert [call.args[1] for call in splits.call_args_list] == []
+    names = _names_holding_anchor_lemmas(rename, facts, mode, lemmatizer)
+    assert Counter(
+        (call.args[0], call.args[1].origin) for call in applied.call_args_list
+    ) == Counter((chunk, name) for chunk in rename.chunks for name in names)
+    assert sorted(call.args[2] for call in detected.call_args_list) == sorted(
+        {c.target_name for c in want}
+    )
     return want
 
 
@@ -326,10 +367,20 @@ class TestSameCandidatesAsScan:
         assert facts.index.names_by_lemma[("lemma", None)] is tables[("lemma", None)]
         assert ("raw", CUSTOM) in facts.index.names_by_lemma
         table = tables[("lemma", None)]
-        assert table["type"] == [
+        assert list(table["type"]) == [
             name for name in facts.index.by_name if "type" in normalize(name).lemmas
         ]
-        assert all(type(n) is str for names in table.values() for n in names)
+        # each name's sequence is stored under each of its lemmas, and is
+        # the one normalize gives
+        for (mode, lemmatizer), table in facts.index.names_by_lemma.items():
+            stored = set()
+            for lemma, sequences in table.items():
+                for name, seq in sequences.items():
+                    assert type(name) is str
+                    assert seq == normalize(name, mode, lemmatizer)
+                    assert lemma in seq.lemmas
+                    stored.add(name)
+            assert stored == set(facts.index.by_name)
 
     @pytest.mark.parametrize(
         "old, new, shape",
@@ -342,13 +393,15 @@ class TestSameCandidatesAsScan:
             ("metricCount", "countOfMetric", "trigger named like an entity"),
             ("minimumVersion", "versionSpec", "two chunks"),
             ("dataTypeName", "name", "delete of two words"),
+            ("valueSpec", "spec", "one rewrite of two occurrences"),
         ],
     )
     def test_edge_shapes(self, old, new, shape):
         facts = _facts_of(
             ("Metrics", ["MetricType", "get", "getValue", "getCount", "metricCount"]),
             ("Reporter", ["MetricType", "versionNumber", "providerName", "get"]),
-            ("Spec", ["version", "minimumVersionCheck", "$tmp", "typeCount", "dataTypeId"]),
+            ("Spec", ["version", "minimumVersionCheck", "$tmp", "typeCount", "dataTypeId",
+                      "valueValueCount"]),
         )
         for mode in MODES:
             rename = attach_chunks(
@@ -362,6 +415,10 @@ class TestSameCandidatesAsScan:
         if shape == "delete emptying a target":
             with pytest.raises(DegenerateResult):
                 apply_chunk(rename.chunks[0], normalize("get"))
+        if shape == "one rewrite of two occurrences":
+            assert [c.proposed_name for c in got if c.target_name == "valueValueCount"] == [
+                "valueCount"
+            ]
         if shape == "same name in two classes":
             assert {c.container for c in got if c.target_name == "MetricType"} == {
                 "Metrics", "Reporter"
