@@ -11,9 +11,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .chunks import ChunkKind
+from .errors import InvalidIdentifier
 from .facts.model import CodeFacts, RelationshipKind
 from .facts.relations import detect_relationships
-from .fileio import atomic_write, json_container, json_number, load_document
+from .fileio import atomic_write, echo, json_container, json_number, load_document
 from .grouping import (
     Chunks,
     MeaningfulRenameSet,
@@ -278,7 +279,7 @@ class RepoStats(NamedTuple):
 
 def _count(value, name: str) -> int:
     if type(value) is not int or value < 0:
-        raise TypeError(f"{name} is not a count: {value!r}")
+        raise TypeError(f"{name} is not a count: {echo(value)}")
     return value
 
 
@@ -288,17 +289,19 @@ def _optional_number(value, name: str):
 
 def _mode(value) -> str:
     if value not in MODES:
-        raise ValueError(f"unknown mode: {value!r}")
+        raise ValueError(f"unknown mode: {echo(value)}")
     return value
 
 
 class Analysis(NamedTuple):
-    """One analysis: the report, how much relationship work it did, and the
-    sets behind its headline statistics (the last two not in the report)."""
+    """One analysis: the report, how much relationship work it did, the sets
+    behind its headline statistics, and the records ``chunk_by_mode``
+    skipped with their reasons (the last three not in the report)."""
 
     stats: RepoStats
     work: WorkCounts
     collection: RenameSetCollection
+    skipped: list[tuple[RenameRecord, InvalidIdentifier]]
 
 
 def build_repo_stats(
@@ -320,7 +323,7 @@ def build_repo_stats(
     for records without repository access), else empty facts; with
     neither, the inflection section has no relationship rates.
     """
-    chunks = chunk_by_mode(records, MODES, lemmatizer)
+    chunks, skipped = chunk_by_mode(records, MODES, lemmatizer)
     collections = {m: build_rename_sets(records, chunks[m], m) for m in MODES}
     coll = collections[mode]
     detections = _Detections(facts, default)
@@ -349,7 +352,7 @@ def build_repo_stats(
         default_commits=on_default,
         empty_commits=len(commits) - own - on_default,
     )
-    return Analysis(stats, work, coll)
+    return Analysis(stats, work, coll, skipped)
 
 
 # --- report emission -------------------------------------------------------

@@ -55,10 +55,6 @@ class OperationalChunk(NamedTuple):
     left_context: str | None = None
     right_context: str | None = None
 
-    @property
-    def changed_words(self) -> int:
-        return len(self.deleted) + len(self.added)
-
 
 def chunk_key(chunk: OperationalChunk) -> str:
     """Canonical identity string: kind tag, deleted lemmas, added lemmas.
@@ -193,27 +189,6 @@ def form_chunks(
         elif w.surface != v.surface:
             out.append(OperationalChunk(ChunkKind.OTHER, (w.lemma,), (), i))
     return out
-
-
-def replay_chunks(old_lemmas, chunks) -> tuple[str, ...]:
-    """Apply chunks at their anchors to an old lemma sequence.
-
-    Other and Inflect leave lemmas untouched by definition.
-    """
-    out = list(old_lemmas)
-    shift = 0
-    for ch in sorted(chunks, key=lambda c: c.anchor):
-        at = ch.anchor + shift
-        if ch.kind is ChunkKind.INSERT:
-            out[at:at] = ch.added
-            shift += len(ch.added)
-        elif ch.kind is ChunkKind.DELETE:
-            del out[at : at + len(ch.deleted)]
-            shift -= len(ch.deleted)
-        elif ch.kind is ChunkKind.REPLACE:
-            out[at : at + len(ch.deleted)] = ch.added
-            shift += len(ch.added) - len(ch.deleted)
-    return tuple(out)
 
 
 def _render(target: WordSequence, surfaces: list[str]) -> str:

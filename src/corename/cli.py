@@ -11,19 +11,29 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .errors import CorenameError
 from .facts.model import CodeFacts, IdentifierKind
-from .fileio import atomic_write, load_json, read_lines
+from .fileio import atomic_write, echo, load_json, read_lines
 
 # Each command imports the corename modules it runs in its first lines, so a
 # process loads only what its command needs.
 
-logger = logging.getLogger(__name__)
+
+def _warn(template: str, rows: Iterable[tuple]) -> None:
+    """Print one ``corename: warning:`` line to stderr per row, ``template``
+    filled from it."""
+    for row in rows:
+        print("corename: warning: " + template.format(*row), file=sys.stderr)
+
+
+# the rows of CodeFacts.skipped and of chunk_by_mode's skipped
+_SKIPPED_SOURCE = "skipping {0}: {1}"
+_SKIPPED_RENAME = "skipping rename {0.old_name} -> {0.new_name}: {1}"
 
 
 def _lemmatizer(args):
@@ -61,13 +71,13 @@ def _config_problem(action: argparse.Action, value) -> str | None:
     for item in items:
         if action.type is _finite_float:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
-                return f"must be a number, not {json.dumps(item)}"
+                return f"must be a number, not {echo(item, json.dumps)}"
             if isinstance(item, float) and not math.isfinite(item):
-                return f"must be a finite number, not {json.dumps(item)}"
+                return f"must be a finite number, not {echo(item, json.dumps)}"
         elif not isinstance(item, str):
-            return f"must be a string, not {json.dumps(item)}"
+            return f"must be a string, not {echo(item, json.dumps)}"
         if action.choices is not None and item not in action.choices:
-            return f"must be one of {', '.join(action.choices)}, not {item!r}"
+            return f"must be one of {', '.join(action.choices)}, not {echo(item)}"
     return None
 
 
@@ -118,12 +128,9 @@ def _cmd_mine(args) -> int:
                     skipped += 1
                     continue
                 compared += 1
-                records += detect_renames(
-                    extract_facts({path: before}),
-                    extract_facts({path: after}),
-                    commit=commit.commit,
-                    file=path,
-                )
+                old, new = extract_facts({path: before}), extract_facts({path: after})
+                _warn(_SKIPPED_SOURCE, old.skipped + new.skipped)
+                records += detect_renames(old, new, commit=commit.commit, file=path)
         work = (
             f"mined {commits} commits: {compared} file pairs compared, "
             f"{skipped} added or deleted files skipped"
@@ -141,8 +148,9 @@ def _cmd_group(args) -> int:
 
     mode = args.mode
     records = load_rename_records_file(args.renames)
-    chunks = chunk_by_mode(records, (mode,), _lemmatizer(args))[mode]
-    collection = build_rename_sets(records, chunks, mode)
+    chunks, skipped = chunk_by_mode(records, (mode,), _lemmatizer(args))
+    _warn(_SKIPPED_RENAME, skipped)
+    collection = build_rename_sets(records, chunks[mode], mode)
     atomic_write(args.out, lambda fp: serialize_rename_sets(collection, fp))
     print(
         f"wrote {len(collection)} rename sets "
@@ -157,6 +165,7 @@ def _cmd_facts(args) -> int:
 
     suffixes = tuple(args.suffix) if args.suffix else (".java",)
     facts = extract_facts_from_dir(args.src, suffixes=suffixes)
+    _warn(_SKIPPED_SOURCE, facts.skipped)
     facts.save(args.out)
     print(
         f"wrote {len(facts.entities)} entities to {args.out}", file=sys.stderr
@@ -184,7 +193,7 @@ def _cmd_analyze(args) -> int:
         facts = _load_facts_dir(args.facts_dir)
         # default.json: a single-snapshot approximation for commits without facts
         default = facts.pop("default", None)
-    stats, work, collection = build_repo_stats(
+    stats, work, collection, skipped = build_repo_stats(
         records,
         facts,
         default,
@@ -194,17 +203,16 @@ def _cmd_analyze(args) -> int:
         else tuple(IdentifierKind),
         lemmatizer=_lemmatizer(args),
     )
+    _warn(_SKIPPED_RENAME, skipped)
     # the sets are derived from the renames; --sets must hold the same ones
     check_rename_sets(
         read_lines(args.sets), collection, len(records), source=args.sets
     )
     if args.facts_dir and work.empty_commits:
-        logger.warning(
-            "%s: no facts file for %d of %d commits and no default.json; "
+        _warn(
+            "{}: no facts file for {} of {} commits and no default.json; "
             "those commits are analyzed on empty facts",
-            args.facts_dir,
-            work.empty_commits,
-            work.own_commits + work.empty_commits,
+            [(args.facts_dir, work.empty_commits, work.own_commits + work.empty_commits)],
         )
     written = emit_report(stats, args.out, plots=args.plots)
     print(
@@ -223,11 +231,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_recommend(args) -> int:
     from .facts import extract_facts_from_dir
-    from .grouping import attach_chunks
+    from .grouping import chunk_by_mode
     from .mining import RenameRecord
     from .recommend import PriorProfile, default_profile, recommend
 
     facts = extract_facts_from_dir(args.src)
+    _warn(_SKIPPED_SOURCE, facts.skipped)
     trigger = RenameRecord(
         commit="(pending)",
         kind=IdentifierKind(args.kind),
@@ -236,7 +245,9 @@ def _cmd_recommend(args) -> int:
         index=0,
     )
     lemmatizer = _lemmatizer(args)
-    (trigger,) = attach_chunks([trigger], args.mode, lemmatizer)
+    chunks, skipped = chunk_by_mode([trigger], (args.mode,), lemmatizer)
+    _warn(_SKIPPED_RENAME, skipped)
+    trigger = trigger._replace(chunks=chunks[args.mode][0])
     if not trigger.chunks:
         raise CorenameError(
             f"no operational chunks between {args.old!r} and {args.new!r}"
@@ -363,25 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Diagnostic(logging.Formatter):
-    """Renders a log record as ``corename: <level>: <message>``."""
-
-    def format(self, record: logging.LogRecord) -> str:
-        return f"corename: {record.levelname.lower()}: {record.getMessage()}"
-
-
 def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    # the package's warnings go to stderr, prefixed like its errors
-    logger = logging.getLogger("corename")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(_Diagnostic())
-    logger.addHandler(handler)
-    propagate, logger.propagate = logger.propagate, False
     try:
         _apply_config(args)
         return args.func(args)
@@ -391,9 +389,6 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"corename: error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        logger.removeHandler(handler)
-        logger.propagate = propagate
 
 
 def main() -> None:

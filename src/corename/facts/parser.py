@@ -19,15 +19,12 @@ declarations and bare strings for references.
 
 from __future__ import annotations
 
-import logging
 import re
 import string
 from pathlib import Path
 
 from ..errors import CorenameError
 from .model import CodeFacts, Entity, EntityKind
-
-logger = logging.getLogger(__name__)
 
 _CLEAN_RE = re.compile(
     r'"(?:\\.|[^"\\])*"'
@@ -728,7 +725,6 @@ def extract_facts(sources: dict[str, str]) -> CodeFacts:
             parser = _FileParser(file, tokenize(sources[file]), builder)
             parser.parse_unit()
         except Exception as exc:  # defensive: a bad file must not be fatal
-            logger.warning("skipping %s: %s", file, exc)
             builder.rollback(mark)
             builder.skipped.append((file, str(exc)))
     return builder.finish()

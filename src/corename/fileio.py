@@ -43,7 +43,8 @@ def load_json(path):
     """The JSON value in an input file; invalid JSON raises ParseError
     naming the file and line, as ``read_text`` does for bytes, and JSON
     nested deeper than the decoder can recurse ``invalid JSON: nested too
-    deeply`` naming the file."""
+    deeply`` or holding an integer longer than ``int`` converts ``invalid
+    JSON: integer too long``, both naming the file."""
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -52,11 +53,14 @@ def load_json(path):
         ) from None
     except RecursionError:
         raise ParseError(_TOO_DEEP, source=path) from None
+    except ValueError:  # the only other ValueError the decoder raises
+        raise ParseError(_TOO_LONG, source=path) from None
 
 
 _raw_decode = json.JSONDecoder().raw_decode
 _BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig)"  # json.loads's message
 _TOO_DEEP = "invalid JSON: nested too deeply"
+_TOO_LONG = "invalid JSON: integer too long"
 
 
 def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
@@ -64,8 +68,10 @@ def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
     of invalid JSON, of a value that is not an object, or of an object
     without all of ``keys`` raises ParseError naming ``source`` and the line:
     ``invalid JSON: ...`` (``invalid JSON: nested too deeply`` for nesting
-    deeper than the decoder can recurse), ``<what> is not an object`` or
-    ``missing keys: a, b``.  The values are left to the caller's field rules."""
+    deeper than the decoder can recurse, ``invalid JSON: integer too long``
+    for an integer longer than ``int`` converts), ``<what> is not an
+    object`` or ``missing keys: a, b``.  The values are left to the
+    caller's field rules."""
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -79,6 +85,8 @@ def jsonl_objects(lines: Iterable[str], keys: set[str], what: str, source=None):
             raise ParseError(f"invalid JSON: {message}", line=number, source=source) from None
         except RecursionError:
             raise ParseError(_TOO_DEEP, line=number, source=source) from None
+        except ValueError:
+            raise ParseError(_TOO_LONG, line=number, source=source) from None
         if end != len(line):
             raise ParseError("invalid JSON: Extra data", line=number, source=source)
         if not isinstance(obj, dict):
@@ -107,19 +115,32 @@ def load_document(path, build: Callable, what: str):
         raise ParseError(f"not a {what}: {exc}", source=path) from None
 
 
+def echo(value, render: Callable = repr) -> str:
+    """``render(value)``, a wrong value as a diagnostic shows it: whole up to
+    500 characters, else its first 500 and ``...``.  The limit keeps whole
+    the 309 digits and more of an integer no float can hold."""
+    text = render(value)
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
+
+
+_ECHO_LIMIT = 500
+
+
 def json_number(value, name: str):
     """``value`` if it is a finite JSON number a float can hold, so not a
     boolean or a string of digits; TypeError ``<name> is not a number:
     <value>``, for a larger int OverflowError ``<name> is not a number a
     float can hold: <value>``, and for ``NaN`` or an infinity (``1e400``
     reads as one) ValueError ``<name> is not a finite number: inf``
-    otherwise."""
+    otherwise.  The value is shown through ``echo``."""
     if type(value) not in (int, float):
-        raise TypeError(f"{name} is not a number: {value!r}")
+        raise TypeError(f"{name} is not a number: {echo(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:
-        raise OverflowError(f"{name} is not a number a float can hold: {value!r}") from None
+        raise OverflowError(
+            f"{name} is not a number a float can hold: {echo(value)}"
+        ) from None
     if not finite:
         raise ValueError(f"{name} is not a finite number: {value!r}")
     return value

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from itertools import combinations, count, zip_longest
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Sequence
@@ -14,8 +13,6 @@ from .lexicon import MODES, Lemmatizer, Vocabulary
 from .mining import RenameRecord
 
 Chunks = tuple[OperationalChunk, ...]
-
-logger = logging.getLogger(__name__)
 
 
 class MeaningfulRenameSet(NamedTuple):
@@ -56,20 +53,29 @@ class RenameSetCollection(NamedTuple):
         return sum(len(s) for s in self.sets)
 
 
+class ModeChunks(NamedTuple):
+    """``chunk_by_mode``'s result: for each mode, one chunk tuple per
+    record, in record order; and each record whose names are not
+    identifiers, in record order, with the reason."""
+
+    chunks: dict[str, list[Chunks]]
+    skipped: list[tuple[RenameRecord, InvalidIdentifier]]
+
+
 def chunk_by_mode(
     records: Iterable[RenameRecord],
     modes: Iterable[str] = MODES,
     lemmatizer: Lemmatizer | None = None,
-) -> dict[str, list[Chunks]]:
+) -> ModeChunks:
     """Compute each record's operational chunks once per mode, in one pass.
 
-    Returns, for each mode, one chunk tuple per record, in record order.
     Each distinct name is split once and its lemma sequence is derived
     from the split.  Each distinct pair of lemma sequences is diffed once
     over all modes (in raw mode the lemmas are the folded words); when
     that diff is empty, the record's Inflect/Other chunks come from its
     words.  Records whose names are not splittable identifiers get ``()``
-    in every mode (they then belong to no rename set) and are logged once.
+    in every mode (they then belong to no rename set) and are listed once
+    in ``skipped``.
     """
     modes = tuple(modes)
     for mode in modes:
@@ -97,16 +103,12 @@ def chunk_by_mode(
         return found
 
     out: dict[str, list[Chunks]] = {mode: [] for mode in modes}
+    skipped = []
     for record in records:
         old, new = words(record.old_name), words(record.new_name)
         invalid = [s for s in (old, new) if isinstance(s, InvalidIdentifier)]
         if invalid:
-            logger.warning(
-                "skipping rename %s -> %s: %s",
-                record.old_name,
-                record.new_name,
-                invalid[0],
-            )
+            skipped.append((record, invalid[0]))
             for mode in modes:
                 out[mode].append(())
             continue
@@ -120,7 +122,7 @@ def chunk_by_mode(
             if not chunks:
                 chunks = tuple(form_chunks(old_seq, new_seq, mode))
             out[mode].append(chunks)
-    return out
+    return ModeChunks(out, skipped)
 
 
 def attach_chunks(
@@ -131,7 +133,7 @@ def attach_chunks(
     """Copies of the records carrying their operational chunks for the
     given mode, as ``recommend`` takes its trigger; see ``chunk_by_mode``."""
     records = list(records)
-    chunks = chunk_by_mode(records, (mode,), lemmatizer)[mode]
+    chunks = chunk_by_mode(records, (mode,), lemmatizer).chunks[mode]
     return [r._replace(chunks=c) for r, c in zip(records, chunks)]
 
 

@@ -118,11 +118,6 @@ def split_identifier(name: str) -> WordSequence:
     return Vocabulary().split(name)
 
 
-def join_words(seq: WordSequence) -> str:
-    """Boundary-preserving join of a word sequence (underscore style)."""
-    return "_".join(w.folded for w in seq.words)
-
-
 # Stems left by -ed/-ing stripping that need their silent 'e' back.
 _RESTORE_E = frozenset(
     """

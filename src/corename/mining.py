@@ -9,9 +9,6 @@ within an unchanged container).
 
 from __future__ import annotations
 
-import contextlib
-import subprocess
-import tempfile
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -243,6 +240,13 @@ def walk_history(
     processes: one ``git log`` and one ``git cat-file --batch``; both are
     reaped when the walk ends or is closed early.
     """
+    # imported here: only ``mine --repo`` walks git, and the other commands
+    # import this module for its records alone, so they do not load
+    # ``subprocess`` and the modules it brings at start-up
+    import contextlib
+    import subprocess
+    import tempfile
+
     git = ["git", "-C", str(repo)]
     with tempfile.TemporaryFile() as log_errors, \
             tempfile.TemporaryFile() as cat_errors:

@@ -21,6 +21,37 @@ from corename.facts.parser import ASSIGN_OPS, KEYWORDS, MODIFIERS, PRIMITIVES, t
 from corename.mining import CommitFiles
 
 
+def changed_words(chunk):
+    """The words a chunk deletes and adds."""
+    return len(chunk.deleted) + len(chunk.added)
+
+
+def replay_chunks(old_lemmas, chunks) -> tuple[str, ...]:
+    """Apply chunks at their anchors to an old lemma sequence.
+
+    Other and Inflect leave lemmas untouched by definition.
+    """
+    out = list(old_lemmas)
+    shift = 0
+    for ch in sorted(chunks, key=lambda c: c.anchor):
+        at = ch.anchor + shift
+        if ch.kind is ChunkKind.INSERT:
+            out[at:at] = ch.added
+            shift += len(ch.added)
+        elif ch.kind is ChunkKind.DELETE:
+            del out[at : at + len(ch.deleted)]
+            shift -= len(ch.deleted)
+        elif ch.kind is ChunkKind.REPLACE:
+            out[at : at + len(ch.deleted)] = ch.added
+            shift += len(ch.added) - len(ch.deleted)
+    return tuple(out)
+
+
+def join_words(seq) -> str:
+    """Boundary-preserving join of a word sequence (underscore style)."""
+    return "_".join(w.folded for w in seq.words)
+
+
 def lcs_length(a, b):
     """Textbook longest-common-subsequence DP over a full matrix."""
     m, n = len(a), len(b)
@@ -434,14 +465,12 @@ def _with_chunks(record, chunks):
 
 def chunk_by_mode_copying(records, modes=("raw", "lemma"), lemmatizer=None):
     """``chunk_by_mode`` as it was when it copied every record once per mode
-    to attach that mode's chunks."""
-    import logging
-
+    to attach that mode's chunks; it logged, and this copy drops, each
+    record it skipped."""
     from corename.chunks import diff_lemmas, form_chunks
     from corename.errors import InvalidIdentifier
     from corename.lexicon import MODES, Vocabulary
 
-    logger = logging.getLogger("corename.grouping")
     modes = tuple(modes)
     for mode in modes:
         if mode not in MODES:
@@ -470,12 +499,6 @@ def chunk_by_mode_copying(records, modes=("raw", "lemma"), lemmatizer=None):
         old, new = words(record.old_name), words(record.new_name)
         invalid = [s for s in (old, new) if isinstance(s, InvalidIdentifier)]
         if invalid:
-            logger.warning(
-                "skipping rename %s -> %s: %s",
-                record.old_name,
-                record.new_name,
-                invalid[0],
-            )
             for mode in modes:
                 out[mode].append(_with_chunks(record, ()))
             continue

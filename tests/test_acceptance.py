@@ -14,11 +14,12 @@ from _oracles import (
     enumerate_script_minimum,
     min_changed_words,
     random_pair,
+    replay_chunks,
 )
 from test_relationships import GOLDEN
 
 from corename.analytics import build_repo_stats, co_rename_rate, size_distribution
-from corename.chunks import ChunkKind, diff_chunks, diff_lemmas, replay_chunks
+from corename.chunks import ChunkKind, diff_chunks, diff_lemmas
 from corename.cli import run
 from corename.facts import (
     RelationshipKind,
@@ -41,7 +42,7 @@ CORPUS = FIXTURES / "corpus"
 
 
 def sets_of(records, mode):
-    chunks = chunk_by_mode(records, (mode,))[mode]
+    chunks = chunk_by_mode(records, (mode,)).chunks[mode]
     return build_rename_sets(records, chunks, mode)
 
 

@@ -37,7 +37,7 @@ def records_of(specs):
 
 
 def sets_of(records, mode):
-    chunks = chunk_by_mode(records, (mode,))[mode]
+    chunks = chunk_by_mode(records, (mode,)).chunks[mode]
     return build_rename_sets(records, chunks, mode)
 
 

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     canonical_pairs,
+    changed_words,
     diff_lemmas_recursive,
     diff_lemmas_two_tables,
     enumerate_script_minimum,
     min_changed_words,
     random_pair,
+    replay_chunks,
 )
 from corename.chunks import (
     ChunkKind,
@@ -21,7 +23,6 @@ from corename.chunks import (
     chunk_key,
     diff_chunks,
     diff_lemmas,
-    replay_chunks,
 )
 from corename.errors import DegenerateResult
 from corename.lexicon import normalize
@@ -126,7 +127,7 @@ class TestDiffProperties:
         rng = random.Random(11)
         for _ in range(400):
             a, b = random_pair(rng, 0, 4, "abcd")
-            got = sum(c.changed_words for c in diff_lemmas(a, b))
+            got = sum(map(changed_words, diff_lemmas(a, b)))
             assert got == enumerate_script_minimum(a, b) == min_changed_words(a, b)
 
     def test_round_trip_random(self):
@@ -259,5 +260,5 @@ class TestApplyChunk:
 )
 def test_diff_minimal_and_replayable(a, b):
     chunks = diff_lemmas(a, b)
-    assert sum(c.changed_words for c in chunks) == min_changed_words(a, b)
+    assert sum(map(changed_words, chunks)) == min_changed_words(a, b)
     assert replay_chunks(a, chunks) == b

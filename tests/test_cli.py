@@ -190,9 +190,11 @@ class TestModulesPerCommand:
         assert {"analytics", "facts.relations"} <= loaded
         assert not loaded & {"recommend", "facts.parser"}
 
-    def test_no_code_generation_at_start_up(self, tmp_path):
+    def test_standard_modules_per_command(self, tmp_path):
         # dataclasses loads inspect (and ast, dis, tokenize) and compiles the
-        # methods of each class it decorates: about 25 ms of every process
+        # methods of each class it decorates: about 25 ms of every process;
+        # logging and subprocess cost about 10 ms each, and only mine --repo
+        # starts processes
         bare = subprocess.run(
             [sys.executable, "-c", "import sys; print(*sorted(sys.modules))"],
             capture_output=True, text=True, env=_env_with_src(), check=True,
@@ -219,7 +221,8 @@ class TestModulesPerCommand:
         for argv in commands:
             added = self.all_loaded(*argv) - set(bare)
             assert "corename.cli" in added
-            assert not added & {"dataclasses", "inspect"}, argv[:2]
+            assert not added & {"dataclasses", "inspect", "logging"}, argv[:2]
+            assert ("subprocess" in added) == (argv[:2] == ("mine", "--repo")), argv[:2]
 
 
 def git(repo, *args):
@@ -411,15 +414,28 @@ class TestSkipWarnings:
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "skipping rename" in line] == [self.WARNING]
 
-    def test_one_prefixed_warning_per_skipped_source(self, tmp_path, capsys):
+    @staticmethod
+    def deep_source(field="width"):
         # nesting deeper than the recursion limit makes the parser skip the file
         depth = sys.getrecursionlimit()
-        src = tmp_path / "src"
-        src.mkdir()
-        (src / "Deep.java").write_text(
-            "class Deep { int width; void m(int size) { m(width); } "
+        return (
+            f"class Deep {{ int {field}; void m(int size) {{ m({field}); }} "
             + "class C { " * depth + "}" * depth + " }"
         )
+
+    @staticmethod
+    def skip_reason(err):
+        # where the recursion limit is hit, and so the RecursionError's
+        # wording, depends on the depth of the stack the parser starts on
+        return err.replace(
+            "maximum recursion depth exceeded while calling a Python object",
+            "maximum recursion depth exceeded",
+        )
+
+    def test_one_prefixed_warning_per_skipped_source(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "Deep.java").write_text(self.deep_source())
         (src / "Plain.java").write_text("class Plain { int height; }")
         out = tmp_path / "facts.json"
         assert run(["facts", "--src", str(src), "--out", str(out)]) == 0
@@ -429,14 +445,46 @@ class TestSkipWarnings:
         assert named[0].startswith("corename: warning: skipping Deep.java: ")
         assert [row[0] for row in json.loads(out.read_text())["skipped"]] == ["Deep.java"]
 
-    def test_handler_removed_after_run(self, tmp_path):
-        import logging
+    def test_mine_repo_warns_per_skipped_blob(self, tmp_path, capsys):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        git(repo, "init", "-q")
+        (repo / "A.java").write_text("class A { int count; }")
+        (repo / "Deep.java").write_text(self.deep_source("width"))
+        git(repo, "add", "A.java", "Deep.java")
+        git(repo, "commit", "-qm", "one")
+        (repo / "A.java").write_text("class A { int total; }")
+        (repo / "Deep.java").write_text(self.deep_source("height"))
+        git(repo, "commit", "-qam", "two")
+        out = tmp_path / "mined.jsonl"
+        assert run(["mine", "--repo", str(repo), "--out", str(out)]) == 0
+        skipped = "corename: warning: skipping Deep.java: maximum recursion depth exceeded\n"
+        assert self.skip_reason(capsys.readouterr().err) == (
+            skipped
+            + skipped
+            + f"wrote 1 rename records to {out}\n"
+            + "mined 2 commits: 2 file pairs compared, 2 added or deleted files skipped\n"
+        )
 
-        logger = logging.getLogger("corename")
-        handlers, propagate = list(logger.handlers), logger.propagate
-        run(["mine", "--records", str(CORPUS / "renames.jsonl"), "--out", str(tmp_path / "r.jsonl")])
-        assert logger.handlers == handlers
-        assert logger.propagate == propagate
+    def test_recommend_warns_per_skipped_source(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        shutil.copytree(FIG1, src)
+        (src / "Deep.java").write_text(self.deep_source())
+        rc = run(["recommend", "--src", str(src), "--old", "MetricType",
+                  "--new", "MetricAttribute", "--kind", "Class"])
+        assert rc == 0
+        assert self.skip_reason(capsys.readouterr().err) == (
+            "corename: warning: skipping Deep.java: maximum recursion depth exceeded\n"
+        )
+
+    def test_recommend_invalid_trigger_warns_then_exits_2(self, capsys):
+        rc = run(["recommend", "--src", str(FIG1), "--old", "get$x", "--new", "getX",
+                  "--kind", "Method"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"{self.WARNING}\n"
+            "corename: error: no operational chunks between 'get$x' and 'getX'\n"
+        )
 
 
 class TestRecommendCommand:
@@ -1023,22 +1071,21 @@ class TestMalformedInputs:
         assert run([*argv, "--config", str(config)]) == 2
         assert f"{config}: line 1: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("reader", ["renames", "sets", "facts", "report", "profile", "config"])
-    def test_nested_too_deeply(self, tmp_path, facts_dir, capsys, reader):
-        # deeper than the JSON decoder can recurse; JSON Lines inputs name
-        # the line, whole documents only the file
-        deep = "[" * 200_000 + "]" * 200_000
+    def assert_reader_rejects(self, tmp_path, facts_dir, capsys, reader, literal, problem):
+        """``reader``'s input holding the JSON text ``literal`` as its second
+        line (JSON Lines inputs, whose diagnostic names the line) or as the
+        whole document (named by file only) exits 2 with ``problem``."""
         renames, sets = CORPUS / "renames.jsonl", tmp_path / "sets.jsonl"
         assert run(["group", "--renames", str(renames), "--out", str(sets)]) == 0
         bad = facts_dir / "c02.json" if reader == "facts" else tmp_path / "bad"
         lines = {"renames": renames, "sets": sets}
         if reader in lines:
             first = lines[reader].read_text().splitlines()[0]
-            bad.write_text(f"{first}\n{deep}\n")
-            problem = f"{bad}: line 2: invalid JSON: nested too deeply"
+            bad.write_text(f"{first}\n{literal}\n")
+            problem = f"{bad}: line 2: {problem}"
         else:
-            bad.write_text(deep)
-            problem = f"{bad}: invalid JSON: nested too deeply"
+            bad.write_text(literal)
+            problem = f"{bad}: {problem}"
         recommend = ["recommend", "--src", str(FIG1), "--old", "MetricType",
                      "--new", "MetricAttribute", "--kind", "Class"]
         argv = {
@@ -1053,6 +1100,46 @@ class TestMalformedInputs:
         assert run(argv) == 2
         assert capsys.readouterr().err == f"corename: error: {problem}\n"
         assert not (tmp_path / "report").exists()
+
+    READERS = ["renames", "sets", "facts", "report", "profile", "config"]
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_nested_too_deeply(self, tmp_path, facts_dir, capsys, reader):
+        # deeper than the JSON decoder can recurse
+        deep = "[" * 200_000 + "]" * 200_000
+        self.assert_reader_rejects(
+            tmp_path, facts_dir, capsys, reader, deep, "invalid JSON: nested too deeply"
+        )
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_integer_too_long(self, tmp_path, facts_dir, capsys, reader):
+        # more digits than the JSON decoder converts to an int (4,300)
+        self.assert_reader_rejects(
+            tmp_path, facts_dir, capsys, reader, "9" * 5_000, "invalid JSON: integer too long"
+        )
+
+    @pytest.mark.parametrize("flag", ["--stats", "--profile", "--config"])
+    def test_long_value_shortened(self, tmp_path, facts_dir, capsys, flag):
+        # a wrong value is echoed up to 500 characters, then cut
+        bad = tmp_path / "bad.json"
+        recommend = ["recommend", "--src", str(FIG1), "--old", "MetricType",
+                     "--new", "MetricAttribute", "--kind", "Class"]
+        if flag == "--stats":
+            report = json.loads((analyze(tmp_path, facts_dir, "report") / "report.json").read_text())
+            bad.write_text(json.dumps({**report, "record_count": "x" * 5_000}))
+            argv = ["report", "--stats", str(bad), "--out", str(tmp_path / "again")]
+            problem = f"not a report: record_count is not a count: '{'x' * 499}..."
+        elif flag == "--profile":
+            bad.write_text(json.dumps({"weights": {"Class": {"TypeV": "x" * 5_000}}}))
+            argv = [*recommend, "--profile", str(bad)]
+            problem = f"not a prior profile: weights.Class.TypeV is not a number: '{'x' * 499}..."
+        else:
+            bad.write_text(json.dumps({"min_score": "1" * 3_000}))
+            argv = [*recommend, "--config", str(bad)]
+            problem = f"config key 'min_score' must be a number, not \"{'1' * 499}..."
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"corename: error: {bad}: {problem}\n"
 
 
 def _garbage_of(argv) -> list:

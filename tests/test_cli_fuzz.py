@@ -36,10 +36,12 @@ _json_values = st.recursive(
 )
 
 
-# a placeholder value that ``_dumps`` writes as nested arrays
-_DEEP = "\x00deep"
+# a placeholder value that ``_dumps`` writes as nested arrays or a long integer
+_PLACEHOLDER = "\x00placeholder"
 # around the decoder's recursion limit, and far beyond it
 _depths = st.integers(1, 1_200) | st.just(200_000)
+# around the most digits the decoder converts to an int (4,300)
+_digits = st.integers(4_250, 5_000)
 
 
 def _mutate_json(draw, value, values=_json_values):
@@ -61,12 +63,17 @@ def _mutate_json(draw, value, values=_json_values):
 
 def _dumps(draw, value, shape: str) -> str:
     """The text of ``value`` mutated as JSON ("json"), or with one node
-    replaced by arrays nested to a drawn depth ("nest")."""
+    replaced by arrays nested to a drawn depth ("nest") or by an integer of
+    a drawn number of digits ("long")."""
     if shape == "json":
         return json.dumps(_mutate_json(draw, value))
-    depth = draw(_depths)
-    text = json.dumps(_mutate_json(draw, value, st.just(_DEEP)))
-    return text.replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+    if shape == "nest":
+        depth = draw(_depths)
+        literal = "[" * depth + "]" * depth
+    else:
+        literal = "9" * draw(_digits)
+    text = json.dumps(_mutate_json(draw, value, st.just(_PLACEHOLDER)))
+    return text.replace(json.dumps(_PLACEHOLDER), literal)
 
 
 def _mutate_text(draw, data: bytes) -> bytes:
@@ -83,9 +90,12 @@ def _mutate_text(draw, data: bytes) -> bytes:
 @st.composite
 def _mutated(draw, data: bytes, kind: str) -> bytes:
     """``data`` mutated once or twice, as text, as JSON of ``kind``
-    ("jsonl", "json" or "text"), or by nesting one JSON value deeply."""
+    ("jsonl", "json" or "text"), by nesting one JSON value deeply, or by
+    replacing one with a long integer."""
     for _ in range(draw(st.integers(1, 2))):
-        shape = "text" if kind == "text" else draw(st.sampled_from(["text", "json", "nest"]))
+        shape = "text" if kind == "text" else draw(
+            st.sampled_from(["text", "json", "nest", "long"])
+        )
         if shape == "text":
             data = _mutate_text(draw, data)
             continue

@@ -132,20 +132,23 @@ def test_only_fileio_parses_json():
     assert uses  # fileio itself is seen
 
 
-def test_no_module_imports_dataclasses():
-    # importing dataclasses loads inspect, ast, dis and tokenize, and each
-    # class it decorates compiles generated methods: start-up cost that every
-    # CLI process would pay; the value types are named tuples instead
+@pytest.mark.parametrize("banned", ["dataclasses", "logging"])
+def test_no_module_imports(banned):
+    # start-up cost that every CLI process would pay: importing dataclasses
+    # loads inspect, ast, dis and tokenize, and each class it decorates
+    # compiles generated methods, so the value types are named tuples
+    # instead; logging loads traceback, tokenize and string, and the
+    # warnings it carried are returned as data for the CLI to print
     package = Path(corename.__file__).parent
     uses = []
     for module in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
             if (
                 isinstance(node, ast.Import)
-                and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+                and any(alias.name.split(".")[0] == banned for alias in node.names)
             ) or (
                 isinstance(node, ast.ImportFrom)
-                and (node.module or "").split(".")[0] == "dataclasses"
+                and (node.module or "").split(".")[0] == banned
             ):
                 uses.append(f"{module.relative_to(package)}:{node.lineno}")
     assert uses == []

@@ -4,8 +4,6 @@ import io
 import json
 from itertools import combinations
 
-import logging
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +13,7 @@ from _oracles import (
     chunk_by_mode_copying,
     serialize_rename_sets_by_dumps,
 )
-from corename.errors import ParseError
+from corename.errors import InvalidIdentifier, ParseError
 from corename.grouping import (
     MeaningfulRenameSet,
     RenameSetCollection,
@@ -44,7 +42,7 @@ def record(commit, old, new, kind=IdentifierKind.VARIABLE, index=None):
 
 
 def sets_of(records, mode, lemmatizer=None):
-    chunks = chunk_by_mode(records, (mode,), lemmatizer)[mode]
+    chunks = chunk_by_mode(records, (mode,), lemmatizer).chunks[mode]
     return build_rename_sets(records, chunks, mode)
 
 
@@ -96,7 +94,7 @@ class TestBuildRenameSets:
             ("c2", "minimumSize", "leastSize"),
         ]
         records = [record(c, o, n, index=i) for i, (c, o, n) in enumerate(specs)]
-        chunks = chunk_by_mode(records, ("raw",))["raw"]
+        chunks = chunk_by_mode(records, ("raw",)).chunks["raw"]
         coll = build_rename_sets(records, chunks, "raw")
         for s in coll.sets:
             for r, c in zip(records, chunks):
@@ -294,14 +292,14 @@ def test_member_total_equals_distinct_chunk_key_count():
     corpus = Path(__file__).parent / "fixtures" / "corpus" / "renames.jsonl"
     records = load_rename_records_file(corpus)
     for mode in ("raw", "lemma"):
-        chunks = chunk_by_mode(records, (mode,))[mode]
+        chunks = chunk_by_mode(records, (mode,)).chunks[mode]
         coll = build_rename_sets(records, chunks, mode)
         assert coll.member_total() == sum(len(chunk_keys(c)) for c in chunks)
         assert coll.member_total() >= sum(1 for c in chunks if c)
 
 
 def _assert_same_as_per_record(records, lemmatizer=None):
-    chunks = chunk_by_mode(records, MODES, lemmatizer)
+    chunks = chunk_by_mode(records, MODES, lemmatizer).chunks
     assert list(chunks) == list(MODES)
     for mode in MODES:
         want = attach_chunks_per_record(records, mode, lemmatizer)
@@ -315,7 +313,7 @@ def _assert_same_as_copying(records, lemmatizer=None):
     """chunk_by_mode and build_rename_sets against the path that copied each
     record per mode: the same chunks per record and the same sets, whose
     members are the given records themselves."""
-    chunks = chunk_by_mode(records, MODES, lemmatizer)
+    chunks = chunk_by_mode(records, MODES, lemmatizer).chunks
     copies = chunk_by_mode_copying(records, MODES, lemmatizer)
     for mode in MODES:
         assert len(chunks[mode]) == len(records)
@@ -390,17 +388,19 @@ def test_chunk_by_mode_matches_per_record_drawn(specs, custom):
     _assert_same_as_copying(records, lemmatizer)
 
 
-def test_invalid_record_logged_once_for_both_modes(caplog):
+def test_invalid_record_skipped_once_for_both_modes():
     records = [
         record("c1", "foo$bar", "fooBar", index=0),
         record("c1", "nodes", "items", index=1),
+        record("c2", "getX", "get$x", index=2),
     ]
-    with caplog.at_level(logging.WARNING, logger="corename"):
-        chunked = chunk_by_mode(records, MODES)
-    assert [r.getMessage() for r in caplog.records] == [
-        "skipping rename foo$bar -> fooBar: not a valid identifier: 'foo$bar'"
+    chunks, skipped = chunk_by_mode(records, MODES)
+    assert [(r, type(e), str(e)) for r, e in skipped] == [
+        (records[0], InvalidIdentifier, "not a valid identifier: 'foo$bar'"),
+        (records[2], InvalidIdentifier, "not a valid identifier: 'get$x'"),
     ]
-    assert all(chunked[mode][0] == () for mode in MODES)
+    assert all(chunks[mode][0] == chunks[mode][2] == () for mode in MODES)
+    assert all(chunks[mode][1] for mode in MODES)
 
 
 def test_unknown_mode():

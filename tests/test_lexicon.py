@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import normalize_reference, split_identifier_reference
+from _oracles import join_words, normalize_reference, split_identifier_reference
 from corename.errors import InvalidIdentifier, ParseError
 from corename.facts.parser import tokenize
 from corename.lexicon import (
@@ -17,7 +17,6 @@ from corename.lexicon import (
     Vocabulary,
     casing_of,
     default_lemmatizer,
-    join_words,
     lemmatize_word,
     normalize,
     pluralize,

@@ -16,7 +16,6 @@ from _oracles import (
     walk_history_per_commit,
 )
 
-import corename.mining
 from corename.cli import run
 from corename.errors import ParseError, RepoError, UnknownKind
 from corename.facts import extract_facts
@@ -548,33 +547,35 @@ class TestSameAsPerCommitWalk:
 
 
 class GitCounter:
-    """Stands in for ``subprocess`` in corename.mining and records every
-    git process started through ``run`` or ``Popen``."""
+    """Patches ``subprocess.run`` and ``subprocess.Popen`` and records every
+    git process started through them from then on; a ``run`` starts its
+    process through ``Popen``, so it is recorded in both lists."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.runs = []
         self.popens = []
+        run, popen = subprocess.run, subprocess.Popen
 
-    def __getattr__(self, attr):
-        return getattr(subprocess, attr)
+        def counted_run(args, *rest, **kwargs):
+            if args[0] == "git":
+                self.runs.append(args)
+            return run(args, *rest, **kwargs)
 
-    def run(self, args, *rest, **kwargs):
-        if args[0] == "git":
-            self.runs.append(args)
-        return subprocess.run(args, *rest, **kwargs)
+        def counted_popen(args, *rest, **kwargs):
+            proc = popen(args, *rest, **kwargs)
+            if args[0] == "git":
+                self.popens.append(proc)
+            return proc
 
-    def Popen(self, args, *rest, **kwargs):
-        proc = subprocess.Popen(args, *rest, **kwargs)
-        if args[0] == "git":
-            self.popens.append(proc)
-        return proc
+        monkeypatch.setattr(subprocess, "run", counted_run)
+        monkeypatch.setattr(subprocess, "Popen", counted_popen)
 
 
 @pytest.fixture
 def git_counter(monkeypatch):
-    counter = GitCounter()
-    monkeypatch.setattr(corename.mining, "subprocess", counter)
-    return counter
+    """Starts a GitCounter when called, so that the git processes a test
+    makes its history with are not counted."""
+    return lambda: GitCounter(monkeypatch)
 
 
 def edit_history(repo, commits):
@@ -588,13 +589,15 @@ class TestGitProcesses:
     @pytest.mark.parametrize("commits", [5, 15])
     def test_two_processes_per_walk(self, repo, git_counter, commits):
         edit_history(repo, commits)
+        counter = git_counter()
         assert len(list(walk_history(repo))) == commits
-        assert git_counter.runs == []
-        assert len(git_counter.popens) == 2
-        assert all(proc.returncode == 0 for proc in git_counter.popens)
+        assert counter.runs == []
+        assert len(counter.popens) == 2
+        assert all(proc.returncode == 0 for proc in counter.popens)
 
     def test_early_close_reaps_both(self, repo, git_counter):
         edit_history(repo, 5)
+        counter = git_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             walk = walk_history(repo)
@@ -603,8 +606,8 @@ class TestGitProcesses:
             del walk
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-        assert len(git_counter.popens) == 2
-        assert all(proc.returncode is not None for proc in git_counter.popens)
+        assert len(counter.popens) == 2
+        assert all(proc.returncode is not None for proc in counter.popens)
 
 
 class TestUnusualPaths:

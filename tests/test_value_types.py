@@ -36,7 +36,7 @@ def _record(old="metricType", new="metricAttribute", index=None):
 def _values():
     """One instance of each value type, with the name of a field."""
     records = load_rename_records_file(FIXTURES / "corpus" / "renames.jsonl")
-    coll = build_rename_sets(records, chunk_by_mode(records, ("lemma",))["lemma"], "lemma")
+    coll = build_rename_sets(records, chunk_by_mode(records, ("lemma",)).chunks["lemma"], "lemma")
     analysis = build_repo_stats(records)
     stats = analysis.stats
     seq = split_identifier("getDisabledMetricTypes")
@@ -113,9 +113,10 @@ def test_iterating_yields_the_fields():
     )
     assert InflectionImpact._fields[-1] == "new_set_relationship_rates"
     analysis = build_repo_stats([_record(index=0)])
-    assert Analysis._fields == ("stats", "work", "collection")
+    assert Analysis._fields == ("stats", "work", "collection", "skipped")
     assert analysis._asdict() == {
         "stats": analysis.stats, "work": analysis.work, "collection": analysis.collection,
+        "skipped": [],
     }
     assert analysis.stats._asdict()["record_count"] == 1 and RepoStats._fields[0] == "mode"
 
@@ -147,7 +148,7 @@ def test_set_len_counts_members_and_collection_len_counts_sets(specs):
         if old != new
     ]
     for mode in ("raw", "lemma"):
-        coll = build_rename_sets(records, chunk_by_mode(records, (mode,))[mode], mode)
+        coll = build_rename_sets(records, chunk_by_mode(records, (mode,)).chunks[mode], mode)
         assert len(coll) == len(coll.sets)
         for s in coll.sets:
             assert len(s) == len(s.members) == len(s.positions) >= 1
@@ -161,7 +162,7 @@ def test_attach_chunks_copies_keep_index():
         _record("a-b", "c", index=0),  # not an identifier: no chunks
     ]
     chunked = attach_chunks(records, "lemma")
-    expected = chunk_by_mode(records, ("lemma",))["lemma"]
+    expected = chunk_by_mode(records, ("lemma",)).chunks["lemma"]
     assert [r.chunks for r in chunked] == expected
     assert chunked[0].chunks and chunked[1].chunks and chunked[2].chunks == ()
     for original, copy in zip(records, chunked):
